@@ -14,9 +14,9 @@
    measured tables against the paper's Section 5 closed forms; exit 2
    on any band violation). *)
 
-(* The cluster-smoke experiment re-executes this binary as the node
-   image (see Dmx_net.Node.env_var); the trampoline must run first. *)
-let () = Dmx_net.Node.run_as_child_if_requested ()
+(* The cluster and lock-service experiments re-execute this binary as
+   the daemon image (see Dmx_service.Snode.env_var); the trampoline must
+   run first. *)
 let () = Dmx_service.Snode.run_as_child_if_requested ()
 
 let usage () =

@@ -10,7 +10,7 @@
    entry. The fault schedule is a pure function of the seed, so the
    figures are comparable run over run. *)
 
-module Cluster = Dmx_net.Cluster
+module Cluster = Dmx_service.Cluster
 module Chaos = Dmx_net.Chaos
 module E = Dmx_sim.Engine
 
@@ -37,7 +37,7 @@ let run () =
     let totals = Cluster.live_totals o in
     let get k = match List.assoc_opt k totals with Some v -> v | None -> 0 in
     let sent = get "transport.sent" in
-    let retx = get "reliable.retransmits" in
+    let retx = get "reliable.retransmits{shard=0}" in
     Printf.printf
       "cluster-chaos: n=%d rounds=%d loss=%.2f dup=0.05 executions=%d \
        wall=%.2fs cs/sec=%.1f injected-lost=%d injected-dup=%d retx=%d \
@@ -46,7 +46,7 @@ let run () =
       (float_of_int r.E.executions /. o.Cluster.wall_seconds)
       (get "chaos.lost") (get "chaos.duplicated") retx
       (if sent > 0 then float_of_int retx /. float_of_int sent else 0.0)
-      (get "reliable.dup_drops") r.E.violations
+      (get "reliable.dup_drops{shard=0}") r.E.violations
       (if Dmx_sim.Oracle.ok o.Cluster.verdict then "ok" else "REJECTED");
     if r.E.violations > 0 || not (Dmx_sim.Oracle.ok o.Cluster.verdict) then
       failwith "cluster-chaos: safety check failed";

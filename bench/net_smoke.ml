@@ -2,14 +2,14 @@
    localhost TCP, timed end to end.
 
    Unlike every other experiment this one leaves the simulator entirely:
-   it spawns node processes (re-executing the current binary via the
-   Dmx_net.Node trampoline), runs ft-delay-optimal over real sockets, and
+   it spawns daemon processes (re-executing the current binary via the
+   Dmx_service.Snode trampoline), runs ft-delay-optimal over real sockets, and
    reports wall-clock throughput plus the oracle verdict on the merged
    live trace. Numbers are environment-dependent by nature; the point of
    benching it is a perf trajectory for the runtime itself (startup cost,
    per-CS latency on loopback), not a paper figure. *)
 
-module Cluster = Dmx_net.Cluster
+module Cluster = Dmx_service.Cluster
 module E = Dmx_sim.Engine
 
 let run () =

@@ -7,13 +7,11 @@
    dmx-sim quorums   -- print and validate a quorum construction
    dmx-sim avail     -- availability sweep for a construction
    dmx-sim trace     -- short annotated execution trace of a run
-   dmx-sim cluster   -- run a real multi-process cluster over TCP
-   dmx-sim node      -- one networked protocol site (cluster member)
+   dmx-sim cluster   -- run a real multi-process cluster over TCP or UDP
 *)
 
-(* When the cluster supervisor re-executes this binary as a node image,
-   the spec arrives in the environment; nothing else may run first. *)
-let () = Dmx_net.Node.run_as_child_if_requested ()
+(* When a driver re-executes this binary as a daemon image, the spec
+   arrives in the environment; nothing else may run first. *)
 let () = Dmx_service.Snode.run_as_child_if_requested ()
 
 module E = Dmx_sim.Engine
@@ -406,7 +404,7 @@ let run_cmd =
         print_endline (csv_line r variant)
       end
       else Format.printf "%a@." E.pp_report r;
-      exit_checked (if r.E.violations > 0 then 2 else 0)
+      exit_checked (if r.E.violations > 0 || r.E.deadlocked then 2 else 0)
     in
     if lazy_coteries then begin
       if algo <> "delay-optimal" then begin
@@ -1219,7 +1217,8 @@ let cluster_cmd =
       & info [ "kill" ] ~docv:"SITE@TIME"
           ~doc:
             "SIGKILL a node this long after the workload starts \
-             (repeatable), e.g. $(b,--kill 1\\@2s).")
+             (repeatable), e.g. $(b,--kill 1\\@2s); its site's client \
+             re-homes to a live node.")
   in
   let restart_arg =
     Arg.(
@@ -1227,7 +1226,7 @@ let cluster_cmd =
       & info [ "restart" ] ~docv:"SITE@TIME"
           ~doc:
             "Respawn a killed node with fresh state (repeatable), e.g. \
-             $(b,--restart 1\\@4s).")
+             $(b,--restart 1\\@4s); it rejoins as an arbiter.")
   in
   let log_dir_arg =
     Arg.(
@@ -1243,7 +1242,7 @@ let cluster_cmd =
   in
   let timeout_arg =
     Arg.(
-      value & opt float 60.0
+      value & opt float 180.0
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:"Hard wall-clock bound on the whole run.")
   in
@@ -1271,7 +1270,7 @@ let cluster_cmd =
     in
     let cfg =
       {
-        Dmx_net.Cluster.n;
+        Dmx_service.Cluster.n;
         protocol;
         quorum;
         rounds;
@@ -1291,7 +1290,7 @@ let cluster_cmd =
         metrics_base_port;
       }
     in
-    match Dmx_net.Cluster.run cfg with
+    match Dmx_service.Cluster.run cfg with
     | Error e ->
       prerr_endline e;
       exit 1
@@ -1302,18 +1301,18 @@ let cluster_cmd =
         let ppf = Format.formatter_of_out_channel oc in
         List.iter
           (fun e -> Format.fprintf ppf "%a@." Dmx_sim.Trace.pp_entry e)
-          o.Dmx_net.Cluster.entries;
+          o.Dmx_service.Cluster.entries;
         Format.pp_print_flush ppf ();
         close_out oc
       | None -> ());
-      let r = o.Dmx_net.Cluster.report in
+      let r = o.Dmx_service.Cluster.report in
       if csv then begin
         print_endline csv_header;
         print_endline (csv_line r "cluster")
       end
-      else Format.printf "%a@." Dmx_net.Cluster.pp_outcome o;
+      else Format.printf "%a@." Dmx_service.Cluster.pp_outcome o;
       let ok =
-        r.E.violations = 0 && Dmx_sim.Oracle.ok o.Dmx_net.Cluster.verdict
+        r.E.violations = 0 && Dmx_sim.Oracle.ok o.Dmx_service.Cluster.verdict
       in
       exit (if ok then 0 else 2)
   in
@@ -1329,106 +1328,12 @@ let cluster_cmd =
     (Cmd.info "cluster"
        ~doc:
          "Run a real multi-process cluster on localhost (TCP streams or \
-          UDP datagrams): spawn N node daemons, drive a workload, \
+          UDP datagrams) as a one-shard lock service: spawn N daemons, \
+          give each site a client that enters the CS $(b,--rounds) times, \
           optionally kill/restart sites and inject seeded chaos \
           ($(b,--loss), $(b,--dup), $(b,--reorder), $(b,--partition), \
           $(b,--spike)) mid-run, then merge the live traces and check \
           them with the oracle (exit 2 on any violation).")
-    term
-
-let node_cmd =
-  let site_arg =
-    Arg.(
-      required & opt (some int) None
-      & info [ "site" ] ~docv:"I" ~doc:"This node's site id.")
-  in
-  let ports_arg =
-    Arg.(
-      required & opt (some (list int)) None
-      & info [ "peers"; "ports" ] ~docv:"P0,P1,..."
-          ~doc:
-            "Listen port of every site in id order (this node binds entry \
-             $(b,--site)).")
-  in
-  let sup_arg =
-    Arg.(
-      required & opt (some int) None
-      & info [ "supervisor" ] ~docv:"PORT" ~doc:"Supervisor port.")
-  in
-  let epoch_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "epoch" ] ~docv:"T"
-          ~doc:
-            "Cluster time zero as an absolute Unix timestamp (all nodes \
-             must share it); defaults to this node's start time.")
-  in
-  let max_arg =
-    Arg.(
-      value & opt float 600.0
-      & info [ "max-seconds" ] ~docv:"SECONDS"
-          ~doc:"Failsafe wall-clock limit on the node's lifetime.")
-  in
-  let quorum_str_arg =
-    Arg.(
-      value & opt string "tree"
-      & info [ "quorum" ] ~docv:"KIND"
-          ~doc:"Quorum construction (same spellings as elsewhere).")
-  in
-  let transport_arg =
-    Arg.(
-      value & opt string "tcp"
-      & info [ "transport" ] ~docv:"KIND"
-          ~doc:"Transport: tcp or udp (must match the rest of the cluster).")
-  in
-  let mport_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "metrics-port" ] ~docv:"PORT"
-          ~doc:
-            "Serve this node's metrics registry over HTTP on $(docv) \
-             (/metrics and /metrics.json); 0 disables.")
-  in
-  let action site ports sup protocol quorum seed epoch hb hbto rto max_s
-      transport metrics_port =
-    let spec =
-      {
-        Dmx_net.Node.site;
-        n = List.length ports;
-        node_ports = Array.of_list ports;
-        supervisor_port = sup;
-        protocol;
-        quorum;
-        seed;
-        epoch =
-          (match epoch with Some e -> e | None -> Unix.gettimeofday ());
-        hb_period = hb;
-        hb_timeout = hbto;
-        rto;
-        max_seconds = max_s;
-        transport;
-        chaos = Dmx_net.Chaos.no_faults;
-        metrics_port;
-      }
-    in
-    match Dmx_net.Node.run_named spec with
-    | Ok () -> ()
-    | Error e ->
-      prerr_endline e;
-      exit 1
-  in
-  let term =
-    Term.(
-      const action $ site_arg $ ports_arg $ sup_arg $ proto_arg
-      $ quorum_str_arg $ seed_arg $ epoch_arg $ hb_arg $ hbto_arg $ rto_arg
-      $ max_arg $ transport_arg $ mport_arg)
-  in
-  Cmd.v
-    (Cmd.info "node"
-       ~doc:
-         "Run one networked protocol site until its supervisor says \
-          shutdown — the daemon $(b,dmx-sim cluster) spawns, exposed for \
-          manual or multi-host use.")
     term
 
 (* ---- swarm: the sharded lock service ---- *)
@@ -1666,6 +1571,7 @@ let swarm_cmd =
                 reorder;
               };
             hello_timeout = 10.0;
+            ports = None;
             metrics_base_port;
           }
     in
@@ -1914,7 +1820,6 @@ let () =
             trace_cmd;
             replay_cmd;
             cluster_cmd;
-            node_cmd;
             swarm_cmd;
             top_cmd;
             bench_diff_cmd;

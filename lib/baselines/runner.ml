@@ -21,7 +21,8 @@ let check_failures = Atomic.make 0
    violations go to stderr and bump [check_failures] so drivers (bench,
    CLI) can exit nonzero at the end. The large capacity keeps the biggest
    bench scenarios un-truncated; if one still overflows, the oracle
-   refuses to certify and we say so rather than silently passing. The FIFO
+   refuses to certify, and an uncertified run counts as a failed check
+   rather than silently passing. The FIFO
    and custody checks are relaxed exactly where their assumptions break
    (see Oracle.config): crashed-and-recovered sites reuse reliability
    sequence numbers and keep volatile possessions, and duplicated copies
@@ -46,8 +47,7 @@ let checked ~name run_traced (cfg : E.config) =
     let complain () =
       prerr_string (Format.asprintf "oracle[%s]: %a@." name Oracle.pp_verdict v)
     in
-    if v.Oracle.truncated then complain ()
-    else if v.Oracle.violations <> [] then begin
+    if v.Oracle.truncated || v.Oracle.violations <> [] then begin
       ignore (Atomic.fetch_and_add check_failures 1);
       complain ()
     end;

@@ -20,13 +20,14 @@ type t = {
 
 val always_check : bool Atomic.t
 (** When set, every {!field-run} records a full trace and pipes it through
-    {!Dmx_sim.Oracle.check_trace}; violations are printed to stderr and
-    counted in {!check_failures}. Default [false] (zero overhead).
+    {!Dmx_sim.Oracle.check_trace}; violations, and traces too long to
+    certify, are printed to stderr and counted in {!check_failures}. Default [false] (zero overhead).
     Atomic because checked runs may execute on several domains under
     {!Dmx_sim.Pool}; set it once before fanning out. *)
 
 val check_failures : int Atomic.t
-(** Number of oracle-rejected runs since startup; drivers exit nonzero when
+(** Number of oracle-rejected or uncertified (truncated) runs since
+    startup; drivers exit nonzero when
     this is positive at the end. Safe to bump from worker domains. *)
 
 val delay_optimal : ?kind:Dmx_quorum.Builder.kind -> n:int -> unit -> t

@@ -15,7 +15,7 @@
     as an {!action} list for the host to perform, and all clock access
     goes through the {!io} capabilities captured at {!create} — the same
     pattern as {!Reliable.io}, and for the same reason: the simulator
-    passes engine virtual time, the live node daemon passes the wall
+    passes engine virtual time, the live service daemon passes the wall
     clock, and the machine cannot tell the difference.
 
     Renewal is sliding-window: each {!renew} pushes the deadline to

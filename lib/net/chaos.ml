@@ -296,7 +296,7 @@ let handle t =
 
 (* ---- compact plan (de)serialization ----
 
-   Travels inside the single-line DMX_NODE_SPEC environment trampoline,
+   Travels inside the single-line DMX_SERVICE_SPEC environment trampoline,
    so: no spaces, no '='. Fields are ';'-separated; floats are hex
    (lossless); window bounds use '~' because hex floats contain '-'.
 

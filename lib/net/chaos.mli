@@ -86,7 +86,7 @@ val register_obs :
     the series exists even before the first injected fault). *)
 
 (** {2 Plan transport} — compact single-token encoding (no spaces, no
-    ['=']) so a plan rides the [DMX_NODE_SPEC] environment trampoline. *)
+    ['=']) so a plan rides the [DMX_SERVICE_SPEC] environment trampoline. *)
 
 val plan_to_string : plan -> string
 

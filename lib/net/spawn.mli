@@ -1,11 +1,11 @@
-(** Child-process plumbing shared by the cluster supervisor and the
-    lock-service swarm driver.
+(** Child-process plumbing for the lock-service driver
+    ([Dmx_service.Swarm]).
 
-    Both supervisors run local daemons by re-executing their own binary
-    with a serialized spec in an environment variable (the trampoline
-    idiom — see {!Node.env_var} and [Dmx_service.Snode]), which lets the
-    CLI, the test runner and the bench runner all serve as the daemon
-    image without a separate executable. *)
+    The driver runs local daemons by re-executing its own binary with a
+    serialized spec in an environment variable (the trampoline idiom —
+    see [Dmx_service.Snode]), which lets the CLI, the test runner and the
+    bench runner all serve as the daemon image without a separate
+    executable. *)
 
 val alloc_ports : int -> int list
 (** [alloc_ports k] asks the kernel for [k] distinct free loopback

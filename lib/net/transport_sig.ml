@@ -194,11 +194,9 @@ let frame_src (frame : Wire.frame) =
   match frame with
   | Wire.Hello { site; _ }
   | Wire.Heartbeat { site; _ }
-  | Wire.Trace_batch { site; _ }
   | Wire.Metrics { site; _ }
   | Wire.Metrics_v2 { site; _ } ->
     site
-  | Wire.Proto { src; _ } -> src
   | Wire.Sproto { src; _ } -> src
   | Wire.Strace { site; _ } -> site
   | Wire.Workload _ | Wire.Shutdown -> -1

@@ -3,7 +3,7 @@
     A transport moves {!Wire.frame}s between a fixed set of peers and
     feeds the owner a single event stream: inbound frames, plus
     {!event.Peer_down}/{!event.Peer_up} transitions from heartbeat-silence
-    failure detection. The node daemon and the cluster supervisor program
+    failure detection. The service daemon and its driver program
     against the first-class {!handle}, so any implementation of {!S} —
     TCP streams ({!Transport}), UDP datagrams ({!Udp}), or either wrapped
     in the {!Chaos} fault shim — slots in without touching them.
@@ -92,8 +92,8 @@ module type S = sig
   (** Stop all threads and close every socket. Idempotent. *)
 end
 
-(** A transport instance with its type packed away — what the node daemon
-    and cluster supervisor actually hold. *)
+(** A transport instance with its type packed away — what the service
+    daemon and its driver actually hold. *)
 type handle = {
   send : dst:int -> Wire.frame -> unit;
   broadcast : Wire.frame -> unit;

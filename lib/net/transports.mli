@@ -1,5 +1,5 @@
-(** Transport registry: name → packed {!Transport_sig.handle}. The node
-    daemon and cluster supervisor select their transport here, which is
+(** Transport registry: name → packed {!Transport_sig.handle}. The service
+    daemon and its driver select their transport here, which is
     what keeps them implementation-agnostic. *)
 
 val names : string list

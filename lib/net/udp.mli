@@ -9,8 +9,8 @@
     (an undecodable one is counted and dropped, never fatal), and feeds
     the shared event queue. A frame whose encoding exceeds
     {!max_datagram} is refused at send time and counted in
-    [stats.oversize_dropped] — senders must chunk (the node daemon chunks
-    its trace batches for exactly this reason).
+    [stats.oversize_dropped] — senders must chunk (the service daemon
+    chunks its trace batches for exactly this reason).
 
     Delivery failure is silent loss, as on a real network: recovering is
     the business of {!Dmx_core.Reliable}, and heartbeat-silence detection

@@ -2,7 +2,7 @@ module M = Dmx_core.Messages
 module Ts = Dmx_sim.Timestamp
 module Trace = Dmx_sim.Trace
 
-let version = 1
+let version = 2
 let max_frame = 16 * 1024 * 1024
 
 (* ---- encoding primitives ---- *)
@@ -288,9 +288,7 @@ let rentry c =
 type frame =
   | Hello of { site : int; inc : float }
   | Heartbeat of { site : int; time : float }
-  | Proto of { src : int; dst : int; payload : string }
-  | Workload of { rounds : int; cs_duration : float; since : float }
-  | Trace_batch of { site : int; entries : Trace.entry list }
+  | Workload of { since : float }
   | Metrics of {
       site : int;
       executions : int;
@@ -375,21 +373,9 @@ let encode frame =
     w8 b 1;
     wint b site;
     wf64 b time
-  | Proto { src; dst; payload } ->
-    w8 b 2;
-    wint b src;
-    wint b dst;
-    wstr b payload
-  | Workload { rounds; cs_duration; since } ->
+  | Workload { since } ->
     w8 b 3;
-    wint b rounds;
-    wf64 b cs_duration;
     wf64 b since
-  | Trace_batch { site; entries } ->
-    w8 b 4;
-    wint b site;
-    wint b (List.length entries);
-    List.iter (wentry b) entries
   | Metrics { site; executions; sent; received; kinds; reliable } ->
     w8 b 5;
     wint b site;
@@ -480,22 +466,9 @@ let decode s =
         let site = rint c in
         let time = rf64 c in
         Heartbeat { site; time }
-      | 2 ->
-        let src = rint c in
-        let dst = rint c in
-        let payload = rstr c in
-        Proto { src; dst; payload }
-      | 3 ->
-        let rounds = rint c in
-        let cs_duration = rf64 c in
-        let since = rf64 c in
-        Workload { rounds; cs_duration; since }
-      | 4 ->
-        let site = rint c in
-        let n = rint c in
-        if n < 0 || n > 10_000_000 then raise (Bad "bad batch length");
-        let entries = List.init n (fun _ -> rentry c) in
-        Trace_batch { site; entries }
+      (* tags 2 and 4 (v1's Proto and Trace_batch) are retired: shard 0
+         of Sproto/Strace carries that traffic *)
+      | 3 -> Workload { since = rf64 c }
       | 5 ->
         let site = rint c in
         let executions = rint c in
@@ -573,8 +546,12 @@ let decode s =
         let n = rint c in
         if n < 0 || n > 1_000_000 then raise (Bad "bad series count");
         let raw = List.init n (fun _ -> rseries c) in
-        (* re-canonicalize: order is a property of snapshots, not the wire *)
-        let snapshot = Dmx_obs.Snapshot.normalize raw in
+        (* re-canonicalize: order is a property of snapshots, not the
+           wire; a repeated series is corruption *)
+        let snapshot =
+          try Dmx_obs.Snapshot.normalize raw
+          with Invalid_argument e -> raise (Bad e)
+        in
         Metrics_v2 { site; snapshot }
       | t -> raise (Bad (Printf.sprintf "bad frame tag %d" t))
     in

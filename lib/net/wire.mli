@@ -3,11 +3,11 @@
     Everything that crosses a socket is a {e frame}: a 4-byte big-endian
     length prefix followed by a payload whose first byte is the codec
     {!version} and whose second byte is the frame tag. Protocol messages
-    travel opaquely inside {!frame.Proto} (encoded by a per-protocol codec
+    travel opaquely inside {!frame.Sproto} (encoded by a per-protocol codec
     such as {!encode_message} for {!Dmx_core.Messages.t}), so the framing
     layer works for any [Dmx_sim.Protocol.PROTOCOL]. Trace entries cross
     the wire in the {e existing} {!Dmx_sim.Trace} representation, which is
-    what lets the cluster supervisor merge per-site logs and run the same
+    what lets the driver merge per-node logs and run the same
     {!Dmx_sim.Oracle} on a real execution as on a simulated one.
 
     Version negotiation is deliberately minimal (see docs/wire.md): the
@@ -18,7 +18,9 @@
     corrupt input yields [Error], never an exception or a garbage value. *)
 
 val version : int
-(** Current codec version (1). *)
+(** Current codec version (2). Version 2 retired v1's single-protocol
+    frames (tag 2 [Proto], tag 4 [Trace_batch]) and shrank {!frame.Workload}
+    to its epoch; the remaining tags kept their numbers. *)
 
 val max_frame : int
 (** Upper bound on an accepted payload length (16 MiB); a length prefix
@@ -31,15 +33,10 @@ type frame =
           incarnation number (wall-clock init time) *)
   | Heartbeat of { site : int; time : float }
       (** liveness beacon, also the failure-detector input *)
-  | Proto of { src : int; dst : int; payload : string }
-      (** a protocol message, encoded by the protocol's own codec *)
-  | Workload of { rounds : int; cs_duration : float; since : float }
-      (** supervisor [->] node: run this many CS entries, holding the CS
-          this long (seconds). [since] is the supervisor's wall-clock
-          workload start — the shared epoch that anchors chaos partition
-          and delay-spike windows on every node, including restarts. *)
-  | Trace_batch of { site : int; entries : Dmx_sim.Trace.entry list }
-      (** node [->] supervisor: a chunk of the site's event log *)
+  | Workload of { since : float }
+      (** supervisor [->] node: the workload started [since] seconds after
+          the cluster epoch — the shared anchor of chaos partition and
+          delay-spike windows on every node, restarts included *)
   | Metrics of {
       site : int;
       executions : int;
@@ -50,7 +47,7 @@ type frame =
           (** live reliability/transport/chaos counters
               (["reliable.retransmits"], ["transport.sent"],
               ["chaos.lost"], ...); empty when none apply *)
-    }  (** node [->] supervisor: the site finished its workload *)
+    }  (** node [->] supervisor: the node's final counters *)
   | Shutdown  (** supervisor [->] node: flush and exit *)
   | Open_session of { session : int; inc : float }
       (** client [->] node: bind (or re-bind, after a re-home) the
@@ -76,12 +73,13 @@ type frame =
       (** node [->] client: the hold ended without a release — the
           deadline passed, or a renewal arrived too late *)
   | Sproto of { shard : int; src : int; dst : int; payload : string }
-      (** node [<->] node: a protocol message of one shard's coterie;
-          {!frame.Proto} with a shard id, demultiplexed to that shard's
-          protocol instance *)
+      (** node [<->] node: a protocol message of one shard's coterie,
+          encoded by the protocol's own codec and demultiplexed to that
+          shard's protocol instance *)
   | Strace of { shard : int; site : int; entries : Dmx_sim.Trace.entry list }
-      (** node [->] supervisor: {!frame.Trace_batch} with a shard id, so
-          the supervisor can run the unmodified oracle per shard *)
+      (** node [->] supervisor: a chunk of one shard's event log, in the
+          shard's site-id space, so the supervisor can run the unmodified
+          oracle per shard *)
   | Metrics_v2 of { site : int; snapshot : Dmx_obs.Snapshot.t }
       (** node [->] supervisor: the node's full metrics-registry snapshot
           (every counter, gauge and histogram the daemon serves on its

@@ -290,7 +290,7 @@ module Make (P : Proto.PROTOCOL) = struct
         t.shards
 
   (* Self-sends are delivered at the next turn of the owning loop, as in
-     the engine and the node daemon. *)
+     the engine. *)
   let tick t =
     Array.iter
       (fun sh ->

@@ -95,8 +95,7 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
 
   val tick : t -> unit
   (** Deliver pending protocol self-sends and any enter-CS the protocol
-      signalled; call once per event-loop turn, like the node daemon's
-      self-queue drain. *)
+      signalled; call once per event-loop turn. *)
 
   (** {2 Output and introspection} *)
 
@@ -113,7 +112,8 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
   val session_count : t -> int
 
   val kinds_alist : t -> (string * int) list
-  (** Per-kind protocol send counts, as the node daemon reports them. *)
+  (** Per-kind protocol send counts, as the final [Metrics] frame
+      reports them. *)
 
   val lease_stats : t -> (string * int) list
   (** Lease counters summed over shards (["lease.grants"], ...), plus

@@ -1,8 +1,7 @@
 (* The live service daemon: one process hosting this node's slice of
-   every shard, over the same transports, chaos shim, heartbeat and
-   trampoline machinery as the single-protocol node daemon (lib/net's
-   Node) — but speaking the session/lease control frames and running a
-   Host instead of one protocol instance. *)
+   every shard behind a transport, the chaos shim and heartbeats, started
+   by the driver through the environment trampoline. It speaks the
+   session/lease control frames and runs a Host. *)
 
 module Trace = Dmx_sim.Trace
 module B = Dmx_quorum.Builder
@@ -196,8 +195,8 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
                Dmx_obs.Registry.snapshot reg))
       else None
     in
-    (* trace streaming: per-shard Strace frames, chunked so a batch fits
-       a UDP datagram like the node daemon's 96-entry chunks *)
+    (* trace streaming: per-shard Strace frames, chunked at 96 entries so
+       a batch fits a UDP datagram *)
     let last_flush = ref (now ()) in
     let flush_traces () =
       List.iter
@@ -219,7 +218,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         (H.drain_traces host);
       last_flush := now ()
     in
-    let driver_seen = ref false in
+    let workload_seen = ref false in
     let last_super_contact = ref (now ()) in
     let last_hb = ref Float.neg_infinity in
     let shutdown = ref false in
@@ -256,9 +255,9 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       if spec.hb_period > 0.0 && now () -. !last_hb >= spec.hb_period then begin
         last_hb := now ();
         transport.broadcast (Wire.Heartbeat { site = spec.site; time = now () });
-        (* keep re-introducing ourselves until the driver speaks: on a
-           datagram transport the first Hello can simply be lost *)
-        if not !driver_seen then
+        (* keep re-introducing ourselves until the workload epoch arrives:
+           on a datagram transport either frame can simply be lost *)
+        if not !workload_seen then
           transport.send ~dst:spec.n
             (Wire.Hello { site = spec.site; inc = hello_inc })
       end;
@@ -273,11 +272,9 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       in
       fire_timers ();
       H.tick host;
-      (* network events *)
-      let driver_frame () =
-        driver_seen := true;
-        last_super_contact := now ()
-      in
+      (* network events; control frames are anonymous on a datagram
+         transport, so each one counts as driver contact by itself *)
+      let driver_frame () = last_super_contact := now () in
       let rec drain () =
         match transport.poll () with
         | None -> ()
@@ -304,13 +301,16 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
               driver_frame ();
               dbg "snode %d: shutdown at %.3f" spec.site (now ());
               shutdown := true
-            | Wire.Workload _ ->
-              (* the swarm driver has no use for it, but answering the
-                 cluster supervisor's keepalive idiom is harmless *)
-              last_super_contact := now ()
-            | Wire.Hello _ | Wire.Heartbeat _ | Wire.Proto _
-            | Wire.Trace_batch _ | Wire.Metrics _ | Wire.Metrics_v2 _
-            | Wire.Grant _ | Wire.Deny _ | Wire.Expire _ | Wire.Strace _ ->
+            | Wire.Workload { since } ->
+              (* repeats carry the same epoch, so re-anchoring is harmless *)
+              driver_frame ();
+              workload_seen := true;
+              Option.iter
+                (fun c -> Chaos.set_zero c (spec.epoch +. since))
+                shim
+            | Wire.Hello _ | Wire.Heartbeat _ | Wire.Metrics _
+            | Wire.Metrics_v2 _ | Wire.Grant _ | Wire.Deny _ | Wire.Expire _
+            | Wire.Strace _ ->
               ())
           | Transport_sig.Peer_down s -> H.on_node_failure host ~node:s
           | Transport_sig.Peer_up s -> H.on_node_recovery host ~node:s);

@@ -1,14 +1,18 @@
 (** The live lock-service daemon: one process hosting a node's slice of
     every shard over a real transport.
 
-    Mirrors the single-protocol node daemon ({!Dmx_net.Node}) — same
-    transports, chaos shim, heartbeats, re-exec trampoline, supervisor
-    silence failsafe and trace streaming — but it dispatches the
-    session/lease control frames into a {!Host} and streams each
-    shard's trace as [Strace] frames, so the swarm driver can run the
-    unmodified oracle per shard. All client traffic arrives multiplexed
-    over the driver's link (peer id [n]); responses go back the same
-    way. *)
+    The one live daemon of the repository, behind both {!Swarm} and
+    {!Cluster}. It runs over any {!Dmx_net.Transports} name, wraps its
+    sends in the {!Dmx_net.Chaos} shim when a plan is in force, beats
+    heartbeats, exits on driver silence, dispatches the session/lease
+    control frames into a {!Host} and streams each shard's trace as
+    [Strace] frames, so the driver can run the unmodified oracle per
+    shard. All client traffic arrives multiplexed over the driver's link
+    (peer id [n]); responses go back the same way.
+
+    The daemon says [Hello] every heartbeat period until the driver's
+    [Workload { since }] arrives; that epoch anchors the chaos plan's
+    partition and delay-spike windows. *)
 
 (** Everything a daemon process needs to come up, delivered through the
     {!env_var} trampoline by the swarm driver. *)
@@ -39,12 +43,13 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> (spec, string) result
 
 val env_var : string
-(** [DMX_SERVICE_SPEC]; the service twin of {!Dmx_net.Node.env_var}. *)
+(** [DMX_SERVICE_SPEC]: the environment variable through which a driver
+    hands a re-executed copy of its own binary the daemon's spec. *)
 
 val run_as_child_if_requested : unit -> unit
 (** Check {!env_var}; when present, run the daemon to completion and
     [exit]. Must be called before the host executable does anything
-    else (alongside {!Dmx_net.Node.run_as_child_if_requested}). *)
+    else. *)
 
 (** Run the daemon for a specific protocol. *)
 module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
@@ -68,5 +73,5 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
 end
 
 val run_named : spec -> (unit, string) result
-(** Resolve [spec.protocol]/[spec.quorum] exactly as
-    {!Dmx_net.Node.run_named} does and run the daemon. *)
+(** Resolve [spec.protocol] (["delay-optimal"] or ["ft-delay-optimal"])
+    and [spec.quorum], and run the daemon. *)

@@ -45,6 +45,7 @@ type config = {
   transport : string;
   chaos : Chaos.plan;
   hello_timeout : float;
+  ports : int list option;  (* n node ports then the driver's *)
   metrics_base_port : int;  (* daemon [site] scrapes on base + site; 0 = off *)
 }
 
@@ -73,6 +74,7 @@ let default ~n =
     transport = "tcp";
     chaos = Chaos.no_faults;
     hello_timeout = 10.0;
+    ports = None;
     metrics_base_port = 0;
   }
 
@@ -126,90 +128,82 @@ type wakeup = { at : float; client : int; what : what; seq : int }
 
 (* ---- validation ---- *)
 
-let validate (cfg : config) =
-  if cfg.n < 2 then Error "swarm: need at least 2 nodes"
-  else if cfg.shards < 1 then Error "swarm: shards must be >= 1"
-  else if cfg.clients < 1 then Error "swarm: clients must be >= 1"
-  else if cfg.rounds < 1 then Error "swarm: rounds must be >= 1"
+let check (cfg : config) =
+  if cfg.n < 2 then Error "need at least 2 nodes"
+  else if cfg.shards < 1 then Error "shards must be >= 1"
+  else if cfg.clients < 1 then Error "clients must be >= 1"
+  else if cfg.rounds < 1 then Error "rounds must be >= 1"
   else if cfg.think < 0.0 || cfg.hold < 0.0 then
-    Error "swarm: think/hold must be non-negative"
-  else if cfg.lease <= 0.0 then Error "swarm: lease must be positive"
+    Error "think/hold must be non-negative"
+  else if cfg.lease <= 0.0 then Error "lease must be positive"
   else if cfg.abandon < 0.0 || cfg.abandon > 1.0 then
-    Error "swarm: abandon must be a probability"
+    Error "abandon must be a probability"
   else if
     not (List.mem cfg.protocol [ "delay-optimal"; "ft-delay-optimal" ])
-  then Error (Printf.sprintf "swarm: unknown protocol %S" cfg.protocol)
+  then
+    Error
+      (Printf.sprintf
+         "unknown protocol %S (want delay-optimal or ft-delay-optimal)"
+         cfg.protocol)
   else if not (B.supports cfg.quorum ~n:cfg.n) then
     Error
-      (Format.asprintf "swarm: quorum %a does not support n=%d" B.pp_kind
-         cfg.quorum cfg.n)
+      (Format.asprintf "quorum %a does not support n=%d" B.pp_kind cfg.quorum
+         cfg.n)
   else if
     List.exists (fun (_, s) -> s < 0 || s >= cfg.n) (cfg.kills @ cfg.restarts)
-  then Error "swarm: kill/restart node out of range"
+  then Error "kill/restart node out of range"
   else if
     List.exists
       (fun (rt, s) ->
         not (List.exists (fun (kt, ks) -> ks = s && kt < rt) cfg.kills))
       cfg.restarts
-  then Error "swarm: every restart needs an earlier kill of the same node"
-  else if List.length cfg.kills >= cfg.n then
-    Error "swarm: cannot kill every node"
+  then Error "every restart needs an earlier kill of the same node"
+  else if List.length cfg.kills >= cfg.n then Error "cannot kill every node"
   else if not (List.mem cfg.transport Transports.names) then
     Error
-      (Printf.sprintf "swarm: unknown transport %S (want %s)" cfg.transport
+      (Printf.sprintf "unknown transport %S (want %s)" cfg.transport
          (String.concat " or " Transports.names))
   else if not (cfg.hello_timeout > 0.0) then
-    Error "swarm: hello_timeout must be positive"
+    Error "hello_timeout must be positive"
+  else if
+    match cfg.ports with
+    | Some ps -> List.length ps <> cfg.n + 1
+    | None -> false
+  then Error "ports list must have n+1 entries (nodes + driver)"
   else
     match Chaos.validate { cfg.chaos with Chaos.n = cfg.n } with
     | () -> Ok ()
-    | exception Invalid_argument e -> Error ("swarm: " ^ e)
+    | exception Invalid_argument e -> Error e
 
-(* ---- per-shard occupancy, in the shard's site-id space ---- *)
+let validate cfg = Result.map_error (( ^ ) "swarm: ") (check cfg)
 
-let scan_occupancy n entries =
-  let occ = Dmx_runtime.Occupancy.create () in
-  let in_cs = Array.make n false in
-  List.iter
-    (fun (e : Trace.entry) ->
-      let site = e.Trace.site in
-      match e.Trace.kind with
-      | Trace.Enter_cs ->
-        Dmx_runtime.Occupancy.enter occ;
-        in_cs.(site) <- true
-      | Trace.Exit_cs ->
-        if in_cs.(site) then begin
-          Dmx_runtime.Occupancy.exit occ;
-          in_cs.(site) <- false
-        end
-      | Trace.Crash ->
-        if in_cs.(site) then begin
-          Dmx_runtime.Occupancy.exit occ;
-          in_cs.(site) <- false
-        end
-      | _ -> ())
-    entries;
-  Dmx_runtime.Occupancy.violations occ
+(* ---- distillation ---- *)
 
-(* Shared by the live driver and the virtual-time simulator: sort each
-   shard's merged trace, run the oracle (with the same relaxations the
-   cluster supervisor applies on crashy/lossy runs) and the independent
-   occupancy scan. *)
+(* Sort one shard's merged trace and judge it: the oracle, with FIFO off
+   on crashy or lossy runs and custody off on crashy ones, plus the
+   independent occupancy scan. *)
+let judge ~n ~crashy ~lossy entries =
+  let es =
+    List.stable_sort
+      (fun (a : Trace.entry) b -> Float.compare a.Trace.time b.Trace.time)
+      entries
+  in
+  let verdict =
+    Oracle.check
+      {
+        (Oracle.default ~n) with
+        Oracle.fifo = not (crashy || lossy);
+        custody = not crashy;
+      }
+      es ~truncated:false
+  in
+  (es, verdict, Dmx_sim.Occupancy.violations ~n es)
+
+(* Shared by the live driver and the virtual-time simulator. *)
 let distil ~n ~crashy ~lossy ~acquires ~grants ~expiries ~latency ~entries =
   Array.init (Array.length entries) (fun shard ->
-      let es =
-        List.stable_sort
-          (fun (a : Trace.entry) b -> Float.compare a.Trace.time b.Trace.time)
-          entries.(shard)
-      in
-      let verdict =
-        Oracle.check
-          {
-            (Oracle.default ~n) with
-            Oracle.fifo = not (crashy || lossy);
-            custody = not crashy;
-          }
-          es ~truncated:false
+      let es, verdict, occupancy_violations =
+        judge ~n ~crashy ~lossy entries.(shard)
       in
       {
         shard;
@@ -218,20 +212,41 @@ let distil ~n ~crashy ~lossy ~acquires ~grants ~expiries ~latency ~entries =
         expiries = expiries.(shard);
         latency = latency.(shard);
         verdict;
-        occupancy_violations = scan_occupancy n es;
+        occupancy_violations;
         trace_entries = List.length es;
       })
 
 (* ---- the driver ---- *)
 
-let run (cfg : config) =
-  match validate cfg with
+type books = {
+  shard_acquires : int array;
+  shard_grants : int array;
+  shard_expiries : int array;
+  shard_latency : Summary.t array;
+  client_grants : int array;
+  shard_entries : Trace.entry list array;
+  crashy : bool;
+  lossy : bool;
+  elapsed : float;
+  clients_done : int;
+  rehomed : int;
+  node_stats : (string * int) list array;
+  node_snapshots : Dmx_obs.Snapshot.t array;
+  driver_obs : Dmx_obs.Snapshot.t;
+}
+
+let supervise (cfg : config) =
+  match check cfg with
   | Error _ as e -> e
   | Ok () -> (
     let started_wall = Unix.gettimeofday () in
     let epoch = started_wall in
     let locks = if cfg.locks < 1 then cfg.clients else cfg.locks in
-    let ports = Spawn.alloc_ports (cfg.n + 1) in
+    let ports =
+      match cfg.ports with
+      | Some ps -> ps
+      | None -> Spawn.alloc_ports (cfg.n + 1)
+    in
     let sup_port = List.nth ports cfg.n in
     let node_ports = Array.of_list (List.filteri (fun i _ -> i < cfg.n) ports) in
     let plan =
@@ -311,6 +326,7 @@ let run (cfg : config) =
       let grants = Array.make cfg.shards 0 in
       let expiries = Array.make cfg.shards 0 in
       let latency = Array.init cfg.shards (fun _ -> Summary.create ()) in
+      let client_grants = Array.make cfg.clients 0 in
       let rehomed = ref 0 in
       let completed = ref 0 in
       (* the driver's own registry: per-shard acquire-to-grant latency
@@ -406,6 +422,15 @@ let run (cfg : config) =
         in
         go ((node + 1) mod cfg.n) 0
       in
+      (* The workload epoch, set when the hello phase ends. It anchors the
+         daemons' chaos windows; a node keeps saying hello until it has
+         one, so a restart (or a lost copy) is answered with it again. *)
+      let since = ref None in
+      let send_workload site =
+        Option.iter
+          (fun since -> transport.send ~dst:site (Wire.Workload { since }))
+          !since
+      in
       (* frame handling *)
       let handle_frame frame =
         match frame with
@@ -413,7 +438,8 @@ let run (cfg : config) =
           let newer =
             Float.is_nan hello_inc.(site) || inc > hello_inc.(site)
           in
-          if newer then hello_inc.(site) <- inc
+          if newer then hello_inc.(site) <- inc;
+          send_workload site
         | Wire.Strace { shard; entries; _ }
           when shard >= 0 && shard < cfg.shards ->
           push_batch shard entries
@@ -427,6 +453,7 @@ let run (cfg : config) =
           match c.phase with
           | Waiting { sent_at; _ } when req = c.req ->
             grants.(c.shard) <- grants.(c.shard) + 1;
+            client_grants.(c.id) <- client_grants.(c.id) + 1;
             Summary.add latency.(c.shard) (now () -. sent_at);
             Dmx_obs.Metric.Histogram.observe_s acq_hist.(c.shard)
               (now () -. sent_at);
@@ -514,7 +541,7 @@ let run (cfg : config) =
       (match !startup_death with
       | Some (site, what) ->
         failwith
-          (Printf.sprintf "snode %d died before saying hello (%s)" site what)
+          (Printf.sprintf "node %d died before saying hello (%s)" site what)
       | None -> ());
       if Array.exists Float.is_nan hello_inc then begin
         let missing =
@@ -524,11 +551,13 @@ let run (cfg : config) =
                  if m then Some (string_of_int s) else None)
         in
         failwith
-          (Printf.sprintf "timeout: snode(s) %s never said hello within %.1fs"
+          (Printf.sprintf "timeout: node(s) %s never said hello within %.1fs"
              (String.concat "," missing) cfg.hello_timeout)
       end;
       (* phase 2: the swarm, with the kill/restart schedule *)
       let t0 = now () in
+      since := Some t0;
+      transport.broadcast (Wire.Workload { since = t0 });
       Array.iter (fun c -> wake ~at:(t0 +. think_delay ()) c Start) clients;
       let pending_kills = ref (List.sort compare cfg.kills) in
       let pending_restarts = ref (List.sort compare cfg.restarts) in
@@ -616,7 +645,17 @@ let run (cfg : config) =
           complete_round c
         | _ -> ()
       in
-      while !completed < cfg.clients && now () < cfg.timeout do
+      (* the run also plays out its kill/restart schedule, and waits for
+         every restarted node to rejoin *)
+      let settled () =
+        !pending_kills = [] && !pending_restarts = []
+        && Array.for_all2
+             (fun live inc -> (not live) || not (Float.is_nan inc))
+             alive hello_inc
+      in
+      while
+        (!completed < cfg.clients || not (settled ())) && now () < cfg.timeout
+      do
         drain ();
         if now () -. !last_hb >= 0.5 then begin
           last_hb := now ();
@@ -654,6 +693,8 @@ let run (cfg : config) =
         failwith
           (Printf.sprintf "timeout: %d/%d clients finished" !completed
              cfg.clients);
+      if not (settled ()) then
+        failwith "timeout: the kill/restart schedule did not play out";
       (* phase 3: shutdown, final Strace/Metrics drain, reap *)
       transport.broadcast Wire.Shutdown;
       let shutdowns_left = ref 2 in
@@ -686,31 +727,51 @@ let run (cfg : config) =
       Unix.sleepf 0.05;
       drain ();
       transport.close ();
-      (* per-shard verdicts over the merged, time-sorted traces *)
-      let per_shard =
-        distil ~n:cfg.n ~crashy:(cfg.kills <> [])
-          ~lossy:(not (Chaos.is_trivial plan))
-          ~acquires ~grants ~expiries ~latency
-          ~entries:
-            (Array.map (fun bs -> List.concat (List.rev bs)) shard_batches)
-      in
       Ok
         {
-          per_shard;
-          wall_seconds = Unix.gettimeofday () -. started_wall;
-          completed_clients = !completed;
-          rehomed_sessions = !rehomed;
-          live_stats;
-          snapshots;
-          driver_snapshot = Dmx_obs.Registry.snapshot obs;
+          shard_acquires = acquires;
+          shard_grants = grants;
+          shard_expiries = expiries;
+          shard_latency = latency;
+          client_grants;
+          shard_entries =
+            Array.map (fun bs -> List.concat (List.rev bs)) shard_batches;
+          crashy = cfg.kills <> [];
+          lossy = not (Chaos.is_trivial plan);
+          elapsed = Unix.gettimeofday () -. started_wall;
+          clients_done = !completed;
+          rehomed = !rehomed;
+          node_stats = live_stats;
+          node_snapshots = snapshots;
+          driver_obs = Dmx_obs.Registry.snapshot obs;
         }
     with
     | Failure msg ->
       cleanup ();
-      Error ("swarm: " ^ msg)
+      Error msg
     | e ->
       cleanup ();
-      Error ("swarm: " ^ Printexc.to_string e))
+      Error (Printexc.to_string e))
+
+(* [books] is dropped once distilled, so a run keeps no trace entries *)
+let run cfg =
+  match supervise cfg with
+  | Error e -> Error ("swarm: " ^ e)
+  | Ok b ->
+    Ok
+      {
+        per_shard =
+          distil ~n:cfg.n ~crashy:b.crashy ~lossy:b.lossy
+            ~acquires:b.shard_acquires ~grants:b.shard_grants
+            ~expiries:b.shard_expiries ~latency:b.shard_latency
+            ~entries:b.shard_entries;
+        wall_seconds = b.elapsed;
+        completed_clients = b.clients_done;
+        rehomed_sessions = b.rehomed;
+        live_stats = b.node_stats;
+        snapshots = b.node_snapshots;
+        driver_snapshot = b.driver_obs;
+      }
 
 (* ---- reporting ---- *)
 

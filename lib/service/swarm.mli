@@ -12,7 +12,14 @@
     Acquire latency is measured driver-side, from the first [Acquire]
     send to the matching [Grant], so failover cost (retries, session
     re-homing after a kill) is part of the distribution, exactly as a
-    client would experience it. *)
+    client would experience it.
+
+    When the hello phase ends the driver sends every daemon the
+    workload epoch ([Workload { since }]), which opens the chaos plan's
+    partition and delay-spike windows; a daemon that says hello later (a
+    restart) gets it again. A run lasts until every client has finished
+    {e and} the kill/restart schedule has played out, with every
+    restarted daemon back. *)
 
 module Summary = Dmx_sim.Stats.Summary
 module Oracle = Dmx_sim.Oracle
@@ -46,6 +53,10 @@ type config = {
   transport : string;  (** a {!Dmx_net.Transports} name *)
   chaos : Chaos.plan;  (** [n] and zero [seed] are filled in *)
   hello_timeout : float;  (** startup phase limit *)
+  ports : int list option;
+      (** fixed loopback ports ([n] node ports, then the driver's)
+          instead of kernel-allocated ones — test hook for bind-failure
+          injection *)
   metrics_base_port : int;
       (** daemon [site] serves its metrics registry over HTTP on
           [metrics_base_port + site] ({!Dmx_net.Scrape}); [0] disables *)
@@ -96,6 +107,18 @@ val merged_snapshot : outcome -> Dmx_obs.Snapshot.t
     driver's own snapshot is {e not} folded in — it measures the client
     side, not the fleet). *)
 
+val judge :
+  n:int ->
+  crashy:bool ->
+  lossy:bool ->
+  Dmx_sim.Trace.entry list ->
+  Dmx_sim.Trace.entry list * Oracle.verdict * int
+(** One shard's merged trace, stably sorted by time, with the oracle's
+    verdict and the {!Dmx_sim.Occupancy} violation count. The oracle runs
+    with FIFO off when [crashy] or [lossy] (a killed node's unflushed
+    entries and wire-level chaos are invisible to its matcher) and
+    custody off when [crashy]. *)
+
 val distil :
   n:int ->
   crashy:bool ->
@@ -106,11 +129,37 @@ val distil :
   latency:Summary.t array ->
   entries:Dmx_sim.Trace.entry list array ->
   shard_outcome array
-(** Shared verdict construction (also used by {!Sim_swarm}): sort each
-    shard's merged trace by time, run the oracle — FIFO off when
-    [crashy] or [lossy], custody off when [crashy], exactly as the
-    cluster supervisor relaxes it — plus an independent shard-local
-    occupancy scan. All arrays are indexed by shard. *)
+(** {!judge} every shard (also used by {!Sim_swarm}). All arrays are
+    indexed by shard. *)
+
+(** What the supervising half of {!run} collects, before any trace is
+    judged. Per-shard arrays are indexed by shard, [client_grants] by
+    client id. *)
+type books = {
+  shard_acquires : int array;
+  shard_grants : int array;
+  shard_expiries : int array;
+  shard_latency : Summary.t array;
+  client_grants : int array;  (** [Grant]s matched to a waiting request *)
+  shard_entries : Dmx_sim.Trace.entry list array;
+      (** each shard's streamed trace plus the driver's [Crash]/[Recover]
+          entries, in arrival order *)
+  crashy : bool;  (** the config kills a node *)
+  lossy : bool;  (** the chaos plan injects faults *)
+  elapsed : float;  (** wall-clock seconds, spawn to reap *)
+  clients_done : int;
+  rehomed : int;
+  node_stats : (string * int) list array;
+  node_snapshots : Dmx_obs.Snapshot.t array;
+  driver_obs : Dmx_obs.Snapshot.t;
+}
+
+val supervise : config -> (books, string) result
+(** Validate, spawn the daemons, drive the clients and the kill/restart
+    schedule, then shut down and reap. [Error] (unprefixed) covers
+    validation failures, daemons dying before hello, and the overall
+    timeout; daemons are killed and the transport closed on every
+    path. *)
 
 val run : config -> (outcome, string) result
 (** Run the swarm to completion. [Error] covers validation failures,

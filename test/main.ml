@@ -1,8 +1,8 @@
 (* Aggregated alcotest runner for the whole repository. *)
 
-(* The cluster integration tests re-execute this binary as the node
-   image (see Dmx_net.Node.env_var); the trampoline must run first. *)
-let () = Dmx_net.Node.run_as_child_if_requested ()
+(* The cluster and swarm integration tests re-execute this binary as the
+   daemon image (see Dmx_service.Snode.env_var); the trampoline must run
+   first. *)
 let () = Dmx_service.Snode.run_as_child_if_requested ()
 
 let () =
@@ -36,7 +36,6 @@ let () =
       ("oracle", Test_oracle.suite);
       ("golden-replay", Test_golden.suite);
       ("fuzz", Test_fuzz.suite);
-      ("live-runtime", Test_live.suite);
       ("obs", Test_obs.suite);
       ("wire", Test_wire.suite);
       ("chaos", Test_chaos.suite);

@@ -23,7 +23,7 @@ let recording () =
       close = (fun () -> ());
     } )
 
-let frame i = Wire.Proto { src = 0; dst = 1; payload = string_of_int i }
+let frame i = Wire.Sproto { shard = 0; src = 0; dst = 1; payload = string_of_int i }
 
 let test_decision_deterministic () =
   let seq plan =
@@ -210,7 +210,7 @@ let test_reorder_holdback () =
   let order =
     List.rev_map
       (function
-        | _, Wire.Proto { payload; _ } -> int_of_string payload
+        | _, Wire.Sproto { payload; _ } -> int_of_string payload
         | _ -> -1)
       !sent
   in

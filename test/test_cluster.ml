@@ -1,5 +1,5 @@
 (* Integration tests for the networked runtime: real node processes over
-   localhost TCP, supervised by Dmx_net.Cluster, with the merged live
+   localhost TCP, supervised by Dmx_service.Cluster, with the merged live
    trace checked by the same oracle the simulator uses.
 
    The default suite keeps to a quick 3-node run so `dune runtest` stays
@@ -9,7 +9,7 @@
    CI job, which uploads the merged trace as an artifact on failure
    (written to DMX_CLUSTER_TRACE_DIR). *)
 
-module Cluster = Dmx_net.Cluster
+module Cluster = Dmx_service.Cluster
 module Oracle = Dmx_sim.Oracle
 module E = Dmx_sim.Engine
 
@@ -136,9 +136,9 @@ let test_chaos_udp_cluster () =
         (get "chaos.lost" > 0);
       Alcotest.(check bool)
         (Printf.sprintf "reliability layer really retransmitted (retx %d)"
-           (get "reliable.retransmits"))
+           (get "reliable.retransmits{shard=0}"))
         true
-        (get "reliable.retransmits" > 0)
+        (get "reliable.retransmits{shard=0}" > 0)
 
 (* a node that cannot bind its port must fail the run quickly, by name —
    not wedge the supervisor until the global timeout *)

@@ -1,7 +1,8 @@
 (* The post-hoc trace oracle: hand-crafted traces exercising each invariant
    (mutex, quorum coverage, coterie intersection, permission custody, FIFO,
-   fairness, message bounds, truncation refusal), then real runs of every
-   protocol x quorum construction piped through it. *)
+   fairness, message bounds, truncation refusal), the independent
+   occupancy scan, then real runs of every protocol x quorum construction
+   piped through it. *)
 
 module T = Dmx_sim.Trace
 module O = Dmx_sim.Oracle
@@ -309,6 +310,31 @@ let sweep_tests =
       Alcotest.test_case label `Quick (run_and_check ~algo ~kind ~n))
     protocol_cases
 
+(* ---- the independent occupancy scan ---- *)
+
+let occupancy entries = Dmx_sim.Occupancy.violations ~n:4 entries
+
+let test_occupancy_overlap () =
+  Alcotest.(check int) "overlapping Enter_cs" 1
+    (occupancy
+       [ e 1.0 0 T.Enter_cs; e 2.0 1 T.Enter_cs; e 3.0 0 T.Exit_cs; e 4.0 1 T.Exit_cs ])
+
+let test_occupancy_crash_closes () =
+  Alcotest.(check int) "crash inside the CS closes the hold" 0
+    (occupancy
+       [ e 1.0 0 T.Enter_cs; e 2.0 0 T.Crash; e 3.0 1 T.Enter_cs; e 4.0 1 T.Exit_cs ])
+
+let test_occupancy_stray_exit () =
+  Alcotest.(check int) "Exit_cs without Enter_cs is ignored" 1
+    (occupancy
+       [
+         e 1.0 0 T.Enter_cs;
+         e 2.0 1 T.Exit_cs;
+         e 3.0 2 T.Enter_cs;
+         e 4.0 0 T.Exit_cs;
+         e 5.0 2 T.Exit_cs;
+       ])
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -328,5 +354,8 @@ let suite =
       ("fairness bound", test_fairness_bound);
       ("message bound", test_message_bound);
       ("truncated trace never passes", test_truncated_never_ok);
+      ("occupancy: overlap counted", test_occupancy_overlap);
+      ("occupancy: crash closes a hold", test_occupancy_crash_closes);
+      ("occupancy: stray exit ignored", test_occupancy_stray_exit);
     ]
   @ sweep_tests

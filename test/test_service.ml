@@ -1,8 +1,9 @@
 (* The sharded lock service: Shard_map properties, the Host driven
    through fake capabilities, the deterministic Sim_swarm (including
-   replayability and kill/restart recovery), and — gated behind
-   DMX_CLUSTER_FULL=1 like the heavy cluster scenarios — a live
-   multi-process swarm with a mid-run kill and restart. *)
+   replayability and kill/restart recovery), a short live swarm under a
+   chaos partition window, and — gated behind DMX_CLUSTER_FULL=1 like the
+   heavy cluster scenarios — a live multi-process swarm with a mid-run
+   kill and restart. *)
 
 module SM = Dmx_service.Shard_map
 module Swarm = Dmx_service.Swarm
@@ -306,6 +307,39 @@ let test_live_swarm_kill_restart () =
         "kill re-homed sessions" true
         (o.Swarm.rehomed_sessions > 0)
 
+(* the driver sends the workload epoch, so a partition window in the
+   chaos plan really opens: node 0's frames to the others are dropped
+   while it lasts, heartbeats included *)
+let test_live_swarm_partition_window () =
+  let cfg =
+    {
+      (Swarm.default ~n:3) with
+      Swarm.clients = 6;
+      shards = 2;
+      rounds = 3;
+      think = 0.05;
+      quorum = B.Majority;
+      chaos =
+        {
+          Dmx_net.Chaos.no_faults with
+          Dmx_net.Chaos.partitions =
+            [ { Dmx_net.Chaos.from_t = 0.0; until = 0.4; groups = [ [ 0 ] ] } ];
+        };
+      timeout = 60.0;
+    }
+  in
+  match Swarm.run cfg with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    if not (Swarm.ok o) then
+      Alcotest.failf "partitioned swarm not clean:@.%a" Swarm.pp_outcome o;
+    let dropped =
+      Dmx_obs.Snapshot.get (Swarm.merged_snapshot o) "chaos.partition_dropped"
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "partition dropped frames (%d)" dropped)
+      true (dropped > 0)
+
 let suite =
   [
     Alcotest.test_case "shard map ranges and rotation" `Quick
@@ -323,6 +357,8 @@ let suite =
     Alcotest.test_case "sim swarm kill recovery" `Quick
       test_sim_swarm_kill_recovery;
     Alcotest.test_case "config validation" `Quick test_swarm_validation;
+    Alcotest.test_case "live swarm partition window opens" `Slow
+      test_live_swarm_partition_window;
     Alcotest.test_case "live swarm kill+restart (DMX_CLUSTER_FULL)" `Slow
       test_live_swarm_kill_restart;
   ]

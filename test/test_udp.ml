@@ -55,23 +55,23 @@ let test_roundtrip () =
       Udp.close a;
       Udp.close b)
     (fun () ->
-      Udp.send a ~dst:1 (Wire.Proto { src = 0; dst = 1; payload = "ping" });
+      Udp.send a ~dst:1 (Wire.Sproto { shard = 0; src = 0; dst = 1; payload = "ping" });
       (match
          poll_for b
            (function Sig.Frame _ -> true | _ -> false)
            "frame at b"
        with
-      | Sig.Frame { src; frame = Wire.Proto { payload; _ } } ->
+      | Sig.Frame { src; frame = Wire.Sproto { payload; _ } } ->
         Alcotest.(check int) "src learned from frame" 0 src;
         Alcotest.(check string) "payload intact" "ping" payload
       | _ -> Alcotest.fail "unexpected event");
-      Udp.send b ~dst:0 (Wire.Proto { src = 1; dst = 0; payload = "pong" });
+      Udp.send b ~dst:0 (Wire.Sproto { shard = 0; src = 1; dst = 0; payload = "pong" });
       (match
          poll_for a
            (function Sig.Frame _ -> true | _ -> false)
            "frame at a"
        with
-      | Sig.Frame { frame = Wire.Proto { payload; _ }; _ } ->
+      | Sig.Frame { frame = Wire.Sproto { payload; _ }; _ } ->
         Alcotest.(check string) "reply intact" "pong" payload
       | _ -> Alcotest.fail "unexpected event");
       let sa = Udp.stats a in
@@ -117,16 +117,16 @@ let test_oversize_guard () =
       Udp.close b)
     (fun () ->
       let huge = String.make (Udp.max_datagram + 1) 'x' in
-      Udp.send a ~dst:1 (Wire.Proto { src = 0; dst = 1; payload = huge });
+      Udp.send a ~dst:1 (Wire.Sproto { shard = 0; src = 0; dst = 1; payload = huge });
       Alcotest.(check int) "oversize counted, not sent" 1
         (Udp.stats a).Sig.oversize_dropped;
       Alcotest.(check int) "nothing went out" 0 (Udp.stats a).Sig.frames_sent;
       (* the link still works afterwards *)
-      Udp.send a ~dst:1 (Wire.Proto { src = 0; dst = 1; payload = "ok" });
+      Udp.send a ~dst:1 (Wire.Sproto { shard = 0; src = 0; dst = 1; payload = "ok" });
       ignore
         (poll_for b
            (function
-             | Sig.Frame { frame = Wire.Proto { payload = "ok"; _ }; _ } -> true
+             | Sig.Frame { frame = Wire.Sproto { payload = "ok"; _ }; _ } -> true
              | _ -> false)
            "frame after oversize"))
 

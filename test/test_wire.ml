@@ -173,22 +173,7 @@ let frame_gen : Wire.frame QCheck.Gen.t =
         map2
           (fun site time -> Wire.Heartbeat { site; time })
           (int_range 0 64) float_gen );
-      ( 4,
-        map3
-          (fun src dst m ->
-            Wire.Proto { src; dst; payload = Wire.encode_message m })
-          (int_range 0 64) (int_range 0 64) msg_gen );
-      ( 1,
-        map3
-          (fun rounds cs_duration since ->
-            Wire.Workload { rounds; cs_duration; since })
-          (int_range 0 10_000) (float_range 0.0 10.0) (float_range 0.0 100.0)
-      );
-      ( 3,
-        map2
-          (fun site entries -> Wire.Trace_batch { site; entries })
-          (int_range 0 64)
-          (list_size (int_range 0 32) entry_gen) );
+      (1, map (fun since -> Wire.Workload { since }) (float_range 0.0 100.0));
       ( 2,
         map3
           (fun site (executions, sent, received) (kinds, reliable) ->
@@ -236,14 +221,14 @@ let frame_gen : Wire.frame QCheck.Gen.t =
         map3
           (fun session lock req -> Wire.Expire { session; lock; req })
           (int_range 0 1_000_000) small_string_gen (int_range 0 1_000_000) );
-      ( 2,
+      ( 6,
         map3
           (fun shard (src, dst) m ->
             Wire.Sproto { shard; src; dst; payload = Wire.encode_message m })
           (int_range 0 64)
           (pair (int_range 0 64) (int_range 0 64))
           msg_gen );
-      ( 2,
+      ( 5,
         map3
           (fun shard site entries -> Wire.Strace { shard; site; entries })
           (int_range 0 64) (int_range 0 64)
@@ -262,13 +247,7 @@ let frame_print = function
   | Wire.Hello { site; inc } -> Printf.sprintf "Hello{site=%d;inc=%h}" site inc
   | Wire.Heartbeat { site; time } ->
     Printf.sprintf "Heartbeat{site=%d;time=%h}" site time
-  | Wire.Proto { src; dst; payload } ->
-    Printf.sprintf "Proto{src=%d;dst=%d;%d bytes}" src dst
-      (String.length payload)
-  | Wire.Workload { rounds; cs_duration; since } ->
-    Printf.sprintf "Workload{rounds=%d;cs=%h;since=%h}" rounds cs_duration since
-  | Wire.Trace_batch { site; entries } ->
-    Printf.sprintf "Trace_batch{site=%d;%d entries}" site (List.length entries)
+  | Wire.Workload { since } -> Printf.sprintf "Workload{since=%h}" since
   | Wire.Metrics { site; executions; _ } ->
     Printf.sprintf "Metrics{site=%d;executions=%d}" site executions
   | Wire.Shutdown -> "Shutdown"
@@ -378,14 +357,14 @@ let prop_noise_never_raises =
     (fun s -> match Wire.decode s with Ok _ | Error _ -> true)
 
 let prop_oversize_batch_stays_in_datagram =
-  (* the node daemon chunks trace batches at 96 entries; any such chunk
-     must fit a single UDP datagram with room to spare *)
+  (* the service daemon chunks trace batches at 96 entries; any such
+     chunk must fit a single UDP datagram with room to spare *)
   QCheck.Test.make ~count:100 ~name:"96-entry trace batch fits a datagram"
     (QCheck.make
        ~print:(fun es -> Printf.sprintf "%d entries" (List.length es))
        QCheck.Gen.(list_size (return 96) entry_gen))
     (fun entries ->
-      let enc = Wire.encode (Wire.Trace_batch { site = 0; entries }) in
+      let enc = Wire.encode (Wire.Strace { shard = 0; site = 0; entries }) in
       String.length enc <= Dmx_net.Udp.max_datagram)
 
 (* ---- unit cases: sentinels, max sizes, version gate, framed IO ---- *)
@@ -420,11 +399,11 @@ let test_sentinels () =
              M.Hello)
 
 let test_max_payload () =
-  (* a Proto frame carrying a near-max_frame opaque payload round-trips *)
+  (* an Sproto frame carrying a near-max_frame opaque payload round-trips *)
   let payload = String.make (Wire.max_frame - 64) 'x' in
-  let f = Wire.Proto { src = 1; dst = 2; payload } in
+  let f = Wire.Sproto { shard = 0; src = 1; dst = 2; payload } in
   match Wire.decode (Wire.encode f) with
-  | Ok (Wire.Proto { payload = p'; _ }) ->
+  | Ok (Wire.Sproto { payload = p'; _ }) ->
     Alcotest.(check int) "payload length" (String.length payload)
       (String.length p')
   | Ok _ -> Alcotest.fail "wrong frame"
@@ -448,15 +427,51 @@ let test_bad_tag_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad message tag accepted"
 
+let test_retired_tags_rejected () =
+  (* v1's Proto (2) and Trace_batch (4), laid out as v1 wrote them, under
+     the current version byte: shard 0 of Sproto/Strace replaced them *)
+  let b = Buffer.create 32 in
+  let frame tag body =
+    Buffer.clear b;
+    Buffer.add_uint8 b Wire.version;
+    Buffer.add_uint8 b tag;
+    body ();
+    Buffer.contents b
+  in
+  let int v = Buffer.add_int64_be b (Int64.of_int v) in
+  let proto =
+    frame 2 (fun () ->
+        int 0;
+        int 1;
+        Buffer.add_int32_be b 0l)
+  in
+  let trace_batch =
+    frame 4 (fun () ->
+        int 0;
+        int 0)
+  in
+  List.iter
+    (fun (what, bytes) ->
+      match Wire.decode bytes with
+      | Error _ -> ()
+      | Ok f -> Alcotest.failf "retired %s decoded as %s" what (frame_print f))
+    [ ("Proto", proto); ("Trace_batch", trace_batch) ]
+
 let test_framed_io () =
   (* write_frame/read_frame over a pipe, several frames back-to-back *)
   let frames =
     [
       Wire.Hello { site = 3; inc = 1.5 };
-      Wire.Proto
-        { src = 0; dst = 4; payload = Wire.encode_message (M.Request { Ts.sn = 7; site = 0 }) };
-      Wire.Trace_batch
+      Wire.Sproto
         {
+          shard = 0;
+          src = 0;
+          dst = 4;
+          payload = Wire.encode_message (M.Request { Ts.sn = 7; site = 0 });
+        };
+      Wire.Strace
+        {
+          shard = 0;
           site = 2;
           entries =
             [
@@ -509,6 +524,8 @@ let suite =
       Alcotest.test_case "max-size payload round-trips" `Quick test_max_payload;
       Alcotest.test_case "future version rejected" `Quick test_version_rejected;
       Alcotest.test_case "unknown tags rejected" `Quick test_bad_tag_rejected;
+      Alcotest.test_case "retired v1 tags rejected" `Quick
+        test_retired_tags_rejected;
       Alcotest.test_case "framed io over a pipe" `Quick test_framed_io;
       Alcotest.test_case "oversize length prefix rejected" `Quick
         test_oversize_length_rejected;
