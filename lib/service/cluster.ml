@@ -225,14 +225,15 @@ let run (cfg : config) =
   | Ok b ->
     let entries, verdict, violations =
       Swarm.judge ~n:cfg.n ~crashy:b.Swarm.crashy ~lossy:b.Swarm.lossy
-        b.Swarm.shard_entries.(0)
+        b.Swarm.tally.Clients.entries.(0)
     in
     let snapshots = b.Swarm.node_snapshots in
     let kinds =
       kinds_of (Dmx_obs.Snapshot.merge_all (Array.to_list snapshots))
     in
     let report =
-      build_report cfg ~entries ~client_grants:b.Swarm.client_grants ~kinds
+      build_report cfg ~entries
+        ~client_grants:b.Swarm.tally.Clients.client_grants ~kinds
         ~elapsed:b.Swarm.elapsed
     in
     Ok

@@ -1,14 +1,13 @@
 (* The deterministic twin of the live swarm driver: the same Host logic
-   and the same client state machines, but on virtual time with a
-   seeded RNG driving think times, abandon decisions and link
+   and the same Clients population, but on one virtual-time Event_queue
+   with a seeded RNG driving think times, abandon decisions and link
    latencies. Two runs with the same config produce the same traces,
    the same verdicts and the same percentiles — which makes the lock
    service fuzzable and every failure replayable from its seed. *)
 
-module Trace = Dmx_sim.Trace
-module Summary = Dmx_sim.Stats.Summary
 module Rng = Dmx_sim.Rng
-module Heap = Dmx_sim.Heap
+module Event_queue = Dmx_sim.Event_queue
+module Network = Dmx_sim.Network
 module B = Dmx_quorum.Builder
 module Wire = Dmx_net.Wire
 
@@ -57,50 +56,27 @@ let default ~n =
     max_time = 600.0;
   }
 
+let workload (cfg : config) =
+  {
+    Clients.n = cfg.n;
+    shards = cfg.shards;
+    clients = cfg.clients;
+    locks = cfg.locks;
+    rounds = cfg.rounds;
+    think = cfg.think;
+    hold = cfg.hold;
+    lease = cfg.lease;
+    abandon = cfg.abandon;
+  }
+
 let validate (cfg : config) =
-  if cfg.n < 2 then Error "sim-swarm: need at least 2 nodes"
-  else if cfg.shards < 1 then Error "sim-swarm: shards must be >= 1"
-  else if cfg.clients < 1 then Error "sim-swarm: clients must be >= 1"
-  else if cfg.rounds < 1 then Error "sim-swarm: rounds must be >= 1"
-  else if cfg.think < 0.0 || cfg.hold < 0.0 then
-    Error "sim-swarm: think/hold must be non-negative"
-  else if cfg.lease <= 0.0 then Error "sim-swarm: lease must be positive"
-  else if cfg.abandon < 0.0 || cfg.abandon > 1.0 then
-    Error "sim-swarm: abandon must be a probability"
-  else if cfg.latency <= 0.0 then Error "sim-swarm: latency must be positive"
-  else if
-    not (List.mem cfg.protocol [ "delay-optimal"; "ft-delay-optimal" ])
-  then Error (Printf.sprintf "sim-swarm: unknown protocol %S" cfg.protocol)
-  else if not (B.supports cfg.quorum ~n:cfg.n) then
-    Error
-      (Format.asprintf "sim-swarm: quorum %a does not support n=%d" B.pp_kind
-         cfg.quorum cfg.n)
-  else if
-    List.exists (fun (_, s) -> s < 0 || s >= cfg.n) (cfg.kills @ cfg.restarts)
-  then Error "sim-swarm: kill/restart node out of range"
-  else if List.length cfg.kills >= cfg.n then
-    Error "sim-swarm: cannot kill every node"
-  else Ok ()
-
-(* client state machines, as in the live driver *)
-type phase =
-  | Thinking
-  | Waiting of { sent_at : float; mutable last_try : float }
-  | Holding of { release_at : float }
-  | Draining
-  | Done
-
-type client = {
-  id : int;
-  lock : string;
-  shard : int;
-  mutable node : int;
-  mutable inc : float;
-  mutable opened : bool;
-  mutable phase : phase;
-  mutable round : int;
-  mutable req : int;
-}
+  Result.map_error (( ^ ) "sim-swarm: ")
+    (match
+       Clients.check (workload cfg) ~protocol:cfg.protocol ~quorum:cfg.quorum
+         ~kills:cfg.kills ~restarts:cfg.restarts
+     with
+    | Ok () when cfg.latency <= 0.0 -> Error "latency must be positive"
+    | r -> r)
 
 module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
   module H = Host.Make (P)
@@ -109,14 +85,10 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     | To_node of { node : int; frame : Wire.frame }
     | To_driver of Wire.frame
     | Timer of { node : int; gen : int; shard : int; tag : int }
-    | Wakeup of { client : int; what : wake }
+    | Wakeup of { client : int; what : Clients.what }
     | Kill of int
     | Restart of int
     | Notify of { node : int; about : int; up : bool }
-
-  and wake = Start | Retry | Release | Renew | Failsafe
-
-  type sched = { at : float; seq : int; ev : ev }
 
   let run (cfg : config) ~(codec : H.codec) ?(live_stats = fun _ -> [])
       ?(attach_obs = fun _ ~labels:_ _ -> ())
@@ -124,77 +96,50 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     match validate cfg with
     | Error _ as e -> e
     | Ok () ->
-      let locks = if cfg.locks < 1 then cfg.clients else cfg.locks in
-      let now = ref 0.0 in
+      let q = Event_queue.create () in
+      let now () = Event_queue.now q in
       let rng = Rng.create cfg.seed in
-      let heap =
-        Heap.create
-          ~cmp:(fun a b ->
-            let c = Float.compare a.at b.at in
-            if c <> 0 then c else Int.compare a.seq b.seq)
-          ()
-      in
-      let seq = ref 0 in
       let sched ~at ev =
-        incr seq;
-        Heap.add heap { at = Float.max at !now; seq = !seq; ev }
+        Event_queue.schedule q ~time:(Float.max at (now ())) ev
       in
-      (* per-directed-channel FIFO, like the TCP live path: a later
-         frame never overtakes an earlier one. the driver is channel
-         endpoint [n]. *)
-      let last_delivery = Hashtbl.create 64 in
+      (* per-directed-channel FIFO, like the TCP live path: a later frame
+         never overtakes an earlier one. the driver is endpoint [n]. *)
+      let net =
+        Network.create ~n:(cfg.n + 1)
+          ~delay:(Network.Exponential { mean = cfg.latency })
+          ~rng ()
+      in
       let link ~src ~dst =
-        let lat = Rng.exponential rng ~mean:cfg.latency in
-        let floor =
-          Option.value ~default:0.0 (Hashtbl.find_opt last_delivery (src, dst))
-        in
-        let at = Float.max (!now +. lat) floor in
-        Hashtbl.replace last_delivery (src, dst) at;
-        at
+        match Network.delivery_time net ~src ~dst ~now:(now ()) with
+        | Some at -> at
+        | None -> assert false (* no faults, and no endpoint ever crashes *)
       in
-      let alive = Array.make cfg.n true in
+      let clients =
+        Clients.create
+          ~caps:
+            {
+              Clients.now;
+              send =
+                (fun ~node frame ->
+                  sched
+                    ~at:(link ~src:cfg.n ~dst:node)
+                    (To_node { node; frame }));
+              wake =
+                (fun ~at ~client what -> sched ~at (Wakeup { client; what }));
+            }
+          (workload cfg)
+          ~retry_interval:(Float.max (4.0 *. cfg.rto) (8.0 *. cfg.latency))
+          ~inc:1.0 ~rng
+      in
+      let alive = Clients.alive clients in
       let gens = Array.make cfg.n 0 in
-      (* newest batch first; concatenated in arrival order at the end.
-         order matters beyond the final time-sort: self-send chains carry
-         identical virtual timestamps, and the stable sort preserves
-         whatever relative order we accumulate here *)
-      let shard_batches = Array.make cfg.shards [] in
-      let push_batch shard es =
-        if es <> [] then shard_batches.(shard) <- es :: shard_batches.(shard)
-      in
-      let acquires = Array.make cfg.shards 0 in
-      let grants = Array.make cfg.shards 0 in
-      let expiries = Array.make cfg.shards 0 in
-      let latency = Array.init cfg.shards (fun _ -> Summary.create ()) in
-      let rehomed = ref 0 in
-      let completed = ref 0 in
-      (* the twin of the live driver's registry: same series names, same
-         histogram buckets, but every observation is virtual time — so a
-         seeded run's snapshot is a pure function of the config *)
-      let obs = Dmx_obs.Registry.create () in
-      let acq_hist =
-        Array.init cfg.shards (fun shard ->
-            Dmx_obs.Registry.histogram obs
-              ~labels:[ ("shard", string_of_int shard) ]
-              "swarm.acquire_latency")
-      in
-      for shard = 0 to cfg.shards - 1 do
-        let labels = [ ("shard", string_of_int shard) ] in
-        Dmx_obs.Registry.probe obs ~labels "swarm.acquires" (fun () ->
-            acquires.(shard));
-        Dmx_obs.Registry.probe obs ~labels "swarm.grants" (fun () ->
-            grants.(shard));
-        Dmx_obs.Registry.probe obs ~labels "swarm.expiries" (fun () ->
-            expiries.(shard))
-      done;
-      Dmx_obs.Registry.probe obs "swarm.rehomed_sessions" (fun () -> !rehomed);
-      Dmx_obs.Registry.probe obs "swarm.completed_clients" (fun () ->
-          !completed);
+      (* the twin of each daemon's registry, recorded under virtual time,
+         so a seeded run's snapshots are a pure function of the config *)
       let node_regs = Array.init cfg.n (fun _ -> Dmx_obs.Registry.create ()) in
       let make_host node =
         let caps =
           {
-            Host.now = (fun () -> !now);
+            Host.now;
             send_shard =
               (fun ~shard ~dst_node payload ->
                 sched ~at:(link ~src:node ~dst:dst_node)
@@ -209,7 +154,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
                 sched ~at:(link ~src:node ~dst:cfg.n) (To_driver frame));
             set_timer =
               (fun ~shard ~tag ~delay ->
-                sched ~at:(!now +. delay)
+                sched ~at:(now () +. delay)
                   (Timer { node; gen = gens.(node); shard; tag }));
           }
         in
@@ -228,110 +173,11 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       let hosts = Array.init cfg.n (fun node -> make_host node) in
       let collect_traces node =
         List.iter
-          (fun (shard, es) -> push_batch shard es)
+          (fun (shard, es) -> Clients.push_trace clients ~shard es)
           (H.drain_traces hosts.(node))
       in
-      let clients =
-        Array.init cfg.clients (fun id ->
-            let lock = Printf.sprintf "lock-%d" (id mod locks) in
-            {
-              id;
-              lock;
-              shard = Shard_map.shard_of_lock ~shards:cfg.shards lock;
-              node = id mod cfg.n;
-              inc = 1.0;
-              opened = false;
-              phase = Thinking;
-              round = 0;
-              req = 0;
-            })
-      in
-      let think_delay () =
-        if cfg.think <= 0.0 then 0.0 else Rng.exponential rng ~mean:cfg.think
-      in
-      let retry_interval = Float.max (4.0 *. cfg.rto) (8.0 *. cfg.latency) in
-      let wake ~at c what = sched ~at (Wakeup { client = c.id; what }) in
-      let to_node c frame = sched ~at:(link ~src:cfg.n ~dst:c.node) (To_node { node = c.node; frame }) in
-      let send_open c =
-        to_node c (Wire.Open_session { session = c.id; inc = c.inc });
-        c.opened <- true
-      in
-      let send_acquire c =
-        if not c.opened then send_open c;
-        to_node c (Wire.Acquire { session = c.id; lock = c.lock; req = c.req })
-      in
-      let complete_round c =
-        c.round <- c.round + 1;
-        if c.round >= cfg.rounds then begin
-          c.phase <- Done;
-          incr completed
-        end
-        else begin
-          c.phase <- Thinking;
-          wake ~at:(!now +. think_delay ()) c Start
-        end
-      in
-      let start_round c =
-        if c.phase = Thinking then begin
-          c.req <- c.round + 1;
-          acquires.(c.shard) <- acquires.(c.shard) + 1;
-          c.phase <- Waiting { sent_at = !now; last_try = !now };
-          send_acquire c;
-          wake ~at:(!now +. retry_interval) c Retry
-        end
-      in
-      let next_live node =
-        let rec go k step =
-          if step > cfg.n then node
-          else if alive.(k) then k
-          else go ((k + 1) mod cfg.n) (step + 1)
-        in
-        go ((node + 1) mod cfg.n) 0
-      in
-      let driver_frame frame =
-        match frame with
-        | Wire.Grant { session; req; _ }
-          when session >= 0 && session < cfg.clients -> (
-          let c = clients.(session) in
-          match c.phase with
-          | Waiting { sent_at; _ } when req = c.req ->
-            grants.(c.shard) <- grants.(c.shard) + 1;
-            Summary.add latency.(c.shard) (!now -. sent_at);
-            Dmx_obs.Metric.Histogram.observe_s acq_hist.(c.shard)
-              (!now -. sent_at);
-            if cfg.abandon > 0.0 && Rng.float rng 1.0 < cfg.abandon then begin
-              c.phase <- Draining;
-              wake ~at:(!now +. (2.0 *. cfg.lease) +. 1.0) c Failsafe
-            end
-            else begin
-              let release_at = !now +. cfg.hold in
-              c.phase <- Holding { release_at };
-              wake ~at:release_at c Release;
-              if cfg.hold > cfg.lease /. 2.0 then
-                wake ~at:(!now +. (cfg.lease /. 2.0)) c Renew
-            end
-          | _ -> ())
-        | Wire.Expire { session; req; _ }
-          when session >= 0 && session < cfg.clients -> (
-          let c = clients.(session) in
-          match c.phase with
-          | (Holding _ | Draining) when req = c.req ->
-            expiries.(c.shard) <- expiries.(c.shard) + 1;
-            complete_round c
-          | _ -> ())
-        | Wire.Deny { session; req; reason; _ }
-          when session >= 0 && session < cfg.clients -> (
-          let c = clients.(session) in
-          match c.phase with
-          | Waiting w when req = c.req && reason = "no-session" ->
-            c.opened <- false;
-            w.last_try <- !now;
-            send_acquire c
-          | _ -> ())
-        | _ -> ()
-      in
       let node_frame node frame =
-        if alive.(node) then begin
+        if alive node then begin
           let host = hosts.(node) in
           (match frame with
           | Wire.Sproto { shard; src; payload; _ } ->
@@ -347,157 +193,92 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           H.tick host
         end
       in
+      let notify_peers site ~up =
+        for peer = 0 to cfg.n - 1 do
+          if peer <> site && alive peer then
+            sched
+              ~at:(now () +. cfg.detect_delay)
+              (Notify { node = peer; about = site; up })
+        done
+      in
       let kill_node site =
-        if alive.(site) then begin
+        if alive site then begin
           collect_traces site;
-          alive.(site) <- false;
           gens.(site) <- gens.(site) + 1;
-          for shard = 0 to cfg.shards - 1 do
-            push_batch shard
-              [
-                {
-                  Trace.time = !now;
-                  site = Shard_map.site_of_node ~shard ~n:cfg.n site;
-                  kind = Trace.Crash;
-                };
-              ]
-          done;
-          for peer = 0 to cfg.n - 1 do
-            if peer <> site && alive.(peer) then
-              sched
-                ~at:(!now +. cfg.detect_delay)
-                (Notify { node = peer; about = site; up = false })
-          done;
-          Array.iter
-            (fun c ->
-              if c.node = site && c.phase <> Done then begin
-                incr rehomed;
-                c.node <- next_live site;
-                c.opened <- false;
-                c.inc <- c.inc +. 1.0;
-                match c.phase with
-                | Waiting w ->
-                  w.last_try <- !now;
-                  send_acquire c
-                | Holding _ | Draining ->
-                  expiries.(c.shard) <- expiries.(c.shard) + 1;
-                  complete_round c
-                | Thinking | Done -> ()
-              end)
-            clients
+          notify_peers site ~up:false;
+          Clients.kill clients site
         end
       in
       let restart_node site =
-        if not alive.(site) then begin
-          alive.(site) <- true;
+        if not (alive site) then begin
           hosts.(site) <- make_host site;
           H.tick hosts.(site);
-          for shard = 0 to cfg.shards - 1 do
-            push_batch shard
-              [
-                {
-                  Trace.time = !now;
-                  site = Shard_map.site_of_node ~shard ~n:cfg.n site;
-                  kind = Trace.Recover;
-                };
-              ]
-          done;
-          for peer = 0 to cfg.n - 1 do
-            if peer <> site && alive.(peer) then
-              sched
-                ~at:(!now +. cfg.detect_delay)
-                (Notify { node = peer; about = site; up = true })
-          done
+          Clients.restart clients site;
+          notify_peers site ~up:true
         end
       in
-      let wakeup cid what =
-        let c = clients.(cid) in
-        match (what, c.phase) with
-        | Start, Thinking -> start_round c
-        | Retry, Waiting wt ->
-          if !now -. wt.last_try >= retry_interval -. 1e-9 then begin
-            wt.last_try <- !now;
-            send_acquire c
-          end;
-          wake ~at:(!now +. retry_interval) c Retry
-        | Release, Holding _ ->
-          to_node c
-            (Wire.Release_lock { session = c.id; lock = c.lock; req = c.req });
-          complete_round c
-        | Renew, Holding { release_at } ->
-          if release_at > !now then begin
-            to_node c (Wire.Renew { session = c.id; lock = c.lock; req = c.req });
-            wake ~at:(!now +. (cfg.lease /. 2.0)) c Renew
-          end
-        | Failsafe, Draining ->
-          expiries.(c.shard) <- expiries.(c.shard) + 1;
-          complete_round c
-        | _ -> ()
-      in
       (* seed the schedule *)
-      Array.iter (fun c -> wake ~at:(think_delay ()) c Start) clients;
+      Clients.start clients;
       List.iter (fun (t, site) -> sched ~at:t (Kill site)) cfg.kills;
       List.iter (fun (t, site) -> sched ~at:t (Restart site)) cfg.restarts;
       (* the deterministic main loop *)
       let stuck = ref false in
-      while (not !stuck) && !completed < cfg.clients && !now <= cfg.max_time do
-        match Heap.pop heap with
+      while
+        (not !stuck)
+        && Clients.completed clients < cfg.clients
+        && now () <= cfg.max_time
+      do
+        match Event_queue.next q with
         | None -> stuck := true
-        | Some { at; ev; _ } -> (
-          now := at;
-          match ev with
+        | Some { payload; _ } -> (
+          match payload with
           | To_node { node; frame } -> node_frame node frame
-          | To_driver frame -> driver_frame frame
+          | To_driver frame -> Clients.on_frame clients frame
           | Timer { node; gen; shard; tag } ->
-            if alive.(node) && gens.(node) = gen then begin
+            if alive node && gens.(node) = gen then begin
               H.on_timer hosts.(node) ~shard ~tag;
               H.tick hosts.(node)
             end
-          | Wakeup { client; what } -> wakeup client what
+          | Wakeup { client; what } -> Clients.on_wake clients ~client what
           | Kill site -> kill_node site
           | Restart site -> restart_node site
           | Notify { node; about; up } ->
-            if alive.(node) then begin
+            if alive node then begin
               (if up then H.on_node_recovery hosts.(node) ~node:about
                else H.on_node_failure hosts.(node) ~node:about);
               H.tick hosts.(node)
             end)
       done;
-      if !completed < cfg.clients then
+      if Clients.completed clients < cfg.clients then
         Error
           (Printf.sprintf
              "sim-swarm: %s with %d/%d clients finished at t=%.3f"
              (if !stuck then "no events left" else "virtual-time limit hit")
-             !completed cfg.clients !now)
+             (Clients.completed clients) cfg.clients (now ()))
       else begin
-        let live_stats_arr = Array.make cfg.n [] in
-        let snapshots = Array.make cfg.n Dmx_obs.Snapshot.empty in
+        let node_stats = Array.make cfg.n [] in
+        let node_snapshots = Array.make cfg.n Dmx_obs.Snapshot.empty in
         Array.iteri
           (fun node host ->
-            if alive.(node) then begin
+            if alive node then begin
               collect_traces node;
-              live_stats_arr.(node) <-
+              node_stats.(node) <-
                 H.lease_stats host
                 @ H.fold_states host (fun acc st -> acc @ live_stats st) [];
-              snapshots.(node) <- Dmx_obs.Registry.snapshot node_regs.(node)
+              node_snapshots.(node) <-
+                Dmx_obs.Registry.snapshot node_regs.(node)
             end)
           hosts;
-        let per_shard =
-          Swarm.distil ~n:cfg.n ~crashy:(cfg.kills <> []) ~lossy:false
-            ~acquires ~grants ~expiries ~latency
-            ~entries:
-              (Array.map (fun bs -> List.concat (List.rev bs)) shard_batches)
-        in
         Ok
-          {
-            Swarm.per_shard;
-            wall_seconds = !now;
-            completed_clients = !completed;
-            rehomed_sessions = !rehomed;
-            live_stats = live_stats_arr;
-            snapshots;
-            driver_snapshot = Dmx_obs.Registry.snapshot obs;
-          }
+          (Swarm.distil ~n:cfg.n
+             {
+               Swarm.tally = Clients.tally clients;
+               crashy = cfg.kills <> [];
+               lossy = false;
+               elapsed = now ();
+               node_stats;
+               node_snapshots;
+             })
       end
 end
 

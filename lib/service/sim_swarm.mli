@@ -1,9 +1,10 @@
 (** The deterministic virtual-time twin of the live {!Swarm} driver.
 
-    Runs the {e same} {!Host} logic and the same client state machines
-    as the live driver, but on a single event heap with a seeded RNG
-    driving think times, abandon decisions and per-frame link latencies
-    (channel-FIFO, like the TCP path). Node kills discard the host
+    Runs the {e same} {!Host} logic and the same {!Clients} population
+    as the live driver, but on one {!Dmx_sim.Event_queue} with a seeded
+    RNG driving think times, abandon decisions and per-frame link
+    latencies (a {!Dmx_sim.Network} with the driver as endpoint [n]:
+    channel-FIFO, like the TCP path). Node kills discard the host
     (fresh state on restart, stale timers fenced by a generation
     counter) and notify peers after [detect_delay], mirroring the live
     failure detector. Two runs with the same config are identical —
@@ -39,6 +40,8 @@ val default : n:int -> config
 (** 4 shards, 64 clients x 3 rounds, 1 ms links, 50 ms detection. *)
 
 val validate : config -> (unit, string) result
+(** {!Clients.check}, plus a positive [latency]; messages carry a
+    [sim-swarm:] prefix. *)
 
 (** Instantiated per protocol; {!run_named} covers the named ones. *)
 module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig

@@ -106,8 +106,6 @@ let dbg fmt =
 module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
   module H = Host.Make (P)
 
-  type timer = { at : float; shard : int; tag : int; seq : int }
-
   let run (spec : spec) ~(codec : H.codec) ?(live_stats = fun _ -> [])
       ?(attach_obs = fun _ ~labels:_ _ -> ()) (pconfig : shard:int -> P.config)
       =
@@ -152,15 +150,8 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     let transport =
       match shim with Some c -> Chaos.handle c | None -> raw
     in
-    (* timers: protocol and lease timers of every shard in one heap *)
-    let timer_seq = ref 0 in
-    let timers =
-      Dmx_sim.Heap.create
-        ~cmp:(fun a b ->
-          let c = Float.compare a.at b.at in
-          if c <> 0 then c else Int.compare a.seq b.seq)
-        ()
-    in
+    (* timers: protocol and lease timers of every shard in one queue *)
+    let timers = Dmx_sim.Event_queue.create () in
     let caps =
       {
         Host.now;
@@ -171,9 +162,10 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         send_client = (fun frame -> transport.send ~dst:spec.n frame);
         set_timer =
           (fun ~shard ~tag ~delay ->
-            incr timer_seq;
-            Dmx_sim.Heap.add timers
-              { at = now () +. delay; shard; tag; seq = !timer_seq });
+            let at = now () +. delay in
+            Dmx_sim.Event_queue.schedule timers
+              ~time:(Float.max at (Dmx_sim.Event_queue.now timers))
+              (shard, tag));
       }
     in
     let host =
@@ -263,10 +255,12 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       end;
       (* due timers *)
       let rec fire_timers () =
-        match Dmx_sim.Heap.peek timers with
-        | Some tm when tm.at <= now () ->
-          ignore (Dmx_sim.Heap.pop timers);
-          H.on_timer host ~shard:tm.shard ~tag:tm.tag;
+        match Dmx_sim.Event_queue.peek_time timers with
+        | Some at when at <= now () ->
+          Option.iter
+            (fun { Dmx_sim.Event_queue.payload = shard, tag; _ } ->
+              H.on_timer host ~shard ~tag)
+            (Dmx_sim.Event_queue.next timers);
           fire_timers ()
         | Some _ | None -> ()
       in

@@ -6,14 +6,15 @@
    The driver is both supervisor and session gateway: every client
    session is multiplexed over the driver's single transport endpoint
    (peer id n), so 10k logical clients cost one connection per node,
-   not 10k sockets. Clients are tiny state machines driven off one
-   wakeup heap — think, acquire, hold (renewing if the hold outlives
-   half a lease), release or abandon, repeat. *)
+   not 10k sockets. The client population is [Clients], its wakeups
+   driven off one [Event_queue] on the wall clock; this module keeps the
+   processes, the transport, the hello phase, heartbeats and reaping. *)
 
 module Trace = Dmx_sim.Trace
 module Oracle = Dmx_sim.Oracle
 module Summary = Dmx_sim.Stats.Summary
 module Rng = Dmx_sim.Rng
+module Event_queue = Dmx_sim.Event_queue
 module B = Dmx_quorum.Builder
 module Wire = Dmx_net.Wire
 module Transport_sig = Dmx_net.Transport_sig
@@ -101,79 +102,43 @@ type outcome = {
 
 let merged_snapshot o = Dmx_obs.Snapshot.merge_all (Array.to_list o.snapshots)
 
-(* ---- client state machines ---- *)
-
-type phase =
-  | Thinking
-  | Waiting of { sent_at : float; mutable last_try : float }
-  | Holding of { release_at : float }
-  | Draining  (* abandoned hold: silent until Expire (or the failsafe) *)
-  | Done
-
-type client = {
-  id : int;  (* doubles as the session id *)
-  lock : string;
-  shard : int;
-  mutable node : int;
-  mutable inc : float;
-  mutable opened : bool;  (* Open_session sent to the current node *)
-  mutable phase : phase;
-  mutable round : int;  (* completed rounds *)
-  mutable req : int;  (* current round's request id *)
-}
-
-type what = Start | Retry | Release | Renew | Failsafe
-
-type wakeup = { at : float; client : int; what : what; seq : int }
+let workload (cfg : config) =
+  {
+    Clients.n = cfg.n;
+    shards = cfg.shards;
+    clients = cfg.clients;
+    locks = cfg.locks;
+    rounds = cfg.rounds;
+    think = cfg.think;
+    hold = cfg.hold;
+    lease = cfg.lease;
+    abandon = cfg.abandon;
+  }
 
 (* ---- validation ---- *)
 
 let check (cfg : config) =
-  if cfg.n < 2 then Error "need at least 2 nodes"
-  else if cfg.shards < 1 then Error "shards must be >= 1"
-  else if cfg.clients < 1 then Error "clients must be >= 1"
-  else if cfg.rounds < 1 then Error "rounds must be >= 1"
-  else if cfg.think < 0.0 || cfg.hold < 0.0 then
-    Error "think/hold must be non-negative"
-  else if cfg.lease <= 0.0 then Error "lease must be positive"
-  else if cfg.abandon < 0.0 || cfg.abandon > 1.0 then
-    Error "abandon must be a probability"
-  else if
-    not (List.mem cfg.protocol [ "delay-optimal"; "ft-delay-optimal" ])
-  then
-    Error
-      (Printf.sprintf
-         "unknown protocol %S (want delay-optimal or ft-delay-optimal)"
-         cfg.protocol)
-  else if not (B.supports cfg.quorum ~n:cfg.n) then
-    Error
-      (Format.asprintf "quorum %a does not support n=%d" B.pp_kind cfg.quorum
-         cfg.n)
-  else if
-    List.exists (fun (_, s) -> s < 0 || s >= cfg.n) (cfg.kills @ cfg.restarts)
-  then Error "kill/restart node out of range"
-  else if
-    List.exists
-      (fun (rt, s) ->
-        not (List.exists (fun (kt, ks) -> ks = s && kt < rt) cfg.kills))
-      cfg.restarts
-  then Error "every restart needs an earlier kill of the same node"
-  else if List.length cfg.kills >= cfg.n then Error "cannot kill every node"
-  else if not (List.mem cfg.transport Transports.names) then
-    Error
-      (Printf.sprintf "unknown transport %S (want %s)" cfg.transport
-         (String.concat " or " Transports.names))
-  else if not (cfg.hello_timeout > 0.0) then
-    Error "hello_timeout must be positive"
-  else if
-    match cfg.ports with
-    | Some ps -> List.length ps <> cfg.n + 1
-    | None -> false
-  then Error "ports list must have n+1 entries (nodes + driver)"
-  else
-    match Chaos.validate { cfg.chaos with Chaos.n = cfg.n } with
-    | () -> Ok ()
-    | exception Invalid_argument e -> Error e
+  match
+    Clients.check (workload cfg) ~protocol:cfg.protocol ~quorum:cfg.quorum
+      ~kills:cfg.kills ~restarts:cfg.restarts
+  with
+  | Error _ as e -> e
+  | Ok () ->
+    if not (List.mem cfg.transport Transports.names) then
+      Error
+        (Printf.sprintf "unknown transport %S (want %s)" cfg.transport
+           (String.concat " or " Transports.names))
+    else if not (cfg.hello_timeout > 0.0) then
+      Error "hello_timeout must be positive"
+    else if
+      match cfg.ports with
+      | Some ps -> List.length ps <> cfg.n + 1
+      | None -> false
+    then Error "ports list must have n+1 entries (nodes + driver)"
+    else
+      match Chaos.validate { cfg.chaos with Chaos.n = cfg.n } with
+      | () -> Ok ()
+      | exception Invalid_argument e -> Error e
 
 let validate cfg = Result.map_error (( ^ ) "swarm: ") (check cfg)
 
@@ -199,41 +164,43 @@ let judge ~n ~crashy ~lossy entries =
   in
   (es, verdict, Dmx_sim.Occupancy.violations ~n es)
 
-(* Shared by the live driver and the virtual-time simulator. *)
-let distil ~n ~crashy ~lossy ~acquires ~grants ~expiries ~latency ~entries =
-  Array.init (Array.length entries) (fun shard ->
-      let es, verdict, occupancy_violations =
-        judge ~n ~crashy ~lossy entries.(shard)
-      in
-      {
-        shard;
-        acquires = acquires.(shard);
-        grants = grants.(shard);
-        expiries = expiries.(shard);
-        latency = latency.(shard);
-        verdict;
-        occupancy_violations;
-        trace_entries = List.length es;
-      })
-
 (* ---- the driver ---- *)
 
 type books = {
-  shard_acquires : int array;
-  shard_grants : int array;
-  shard_expiries : int array;
-  shard_latency : Summary.t array;
-  client_grants : int array;
-  shard_entries : Trace.entry list array;
+  tally : Clients.tally;
   crashy : bool;
   lossy : bool;
   elapsed : float;
-  clients_done : int;
-  rehomed : int;
   node_stats : (string * int) list array;
   node_snapshots : Dmx_obs.Snapshot.t array;
-  driver_obs : Dmx_obs.Snapshot.t;
 }
+
+(* Shared by the live driver and the virtual-time simulator. *)
+let distil ~n b =
+  let t = b.tally in
+  {
+    per_shard =
+      Array.init (Array.length t.entries) (fun shard ->
+          let es, verdict, occupancy_violations =
+            judge ~n ~crashy:b.crashy ~lossy:b.lossy t.entries.(shard)
+          in
+          {
+            shard;
+            acquires = t.acquires.(shard);
+            grants = t.grants.(shard);
+            expiries = t.expiries.(shard);
+            latency = t.latency.(shard);
+            verdict;
+            occupancy_violations;
+            trace_entries = List.length es;
+          });
+    wall_seconds = b.elapsed;
+    completed_clients = t.clients_done;
+    rehomed_sessions = t.rehomed;
+    live_stats = b.node_stats;
+    snapshots = b.node_snapshots;
+    driver_snapshot = t.obs;
+  }
 
 let supervise (cfg : config) =
   match check cfg with
@@ -241,7 +208,6 @@ let supervise (cfg : config) =
   | Ok () -> (
     let started_wall = Unix.gettimeofday () in
     let epoch = started_wall in
-    let locks = if cfg.locks < 1 then cfg.clients else cfg.locks in
     let ports =
       match cfg.ports with
       | Some ps -> ps
@@ -309,118 +275,26 @@ let supervise (cfg : config) =
     try
       Array.iteri (fun site _ -> pids.(site) <- Some (spawn site)) pids;
       let now () = Unix.gettimeofday () -. epoch in
-      let rng = Rng.create cfg.seed in
-      let alive = Array.make cfg.n true in
-      (* driver-side books *)
+      let sites = List.init cfg.n Fun.id in
       let hello_inc = Array.make cfg.n Float.nan in
-      (* newest batch first; concatenated in arrival order at the end so
-         entries that share a timestamp keep their within-batch order
-         through the final stable time-sort *)
-      let shard_batches = Array.make cfg.shards [] in
-      let push_batch shard es =
-        if es <> [] then shard_batches.(shard) <- es :: shard_batches.(shard)
-      in
       let live_stats = Array.make cfg.n [] in
       let snapshots = Array.make cfg.n Dmx_obs.Snapshot.empty in
-      let acquires = Array.make cfg.shards 0 in
-      let grants = Array.make cfg.shards 0 in
-      let expiries = Array.make cfg.shards 0 in
-      let latency = Array.init cfg.shards (fun _ -> Summary.create ()) in
-      let client_grants = Array.make cfg.clients 0 in
-      let rehomed = ref 0 in
-      let completed = ref 0 in
-      (* the driver's own registry: per-shard acquire-to-grant latency
-         histograms (observed where [Summary.add] runs, so failover cost
-         lands in both readouts) plus probes over the round counters *)
-      let obs = Dmx_obs.Registry.create () in
-      let acq_hist =
-        Array.init cfg.shards (fun shard ->
-            Dmx_obs.Registry.histogram obs
-              ~labels:[ ("shard", string_of_int shard) ]
-              "swarm.acquire_latency")
-      in
-      for shard = 0 to cfg.shards - 1 do
-        let labels = [ ("shard", string_of_int shard) ] in
-        Dmx_obs.Registry.probe obs ~labels "swarm.acquires" (fun () ->
-            acquires.(shard));
-        Dmx_obs.Registry.probe obs ~labels "swarm.grants" (fun () ->
-            grants.(shard));
-        Dmx_obs.Registry.probe obs ~labels "swarm.expiries" (fun () ->
-            expiries.(shard))
-      done;
-      Dmx_obs.Registry.probe obs "swarm.rehomed_sessions" (fun () -> !rehomed);
-      Dmx_obs.Registry.probe obs "swarm.completed_clients" (fun () ->
-          !completed);
-      (* clients *)
+      let wakeups = Event_queue.create () in
       let clients =
-        Array.init cfg.clients (fun id ->
-            let lock = Printf.sprintf "lock-%d" (id mod locks) in
+        Clients.create
+          ~caps:
             {
-              id;
-              lock;
-              shard = Shard_map.shard_of_lock ~shards:cfg.shards lock;
-              node = id mod cfg.n;
-              inc = epoch;
-              opened = false;
-              phase = Thinking;
-              round = 0;
-              req = 0;
-            })
-      in
-      let wakeups =
-        Dmx_sim.Heap.create
-          ~cmp:(fun a b ->
-            let c = Float.compare a.at b.at in
-            if c <> 0 then c else Int.compare a.seq b.seq)
-          ()
-      in
-      let wseq = ref 0 in
-      let wake ~at client what =
-        incr wseq;
-        Dmx_sim.Heap.add wakeups { at; client = client.id; what; seq = !wseq }
-      in
-      let think_delay () =
-        if cfg.think <= 0.0 then 0.0 else Rng.exponential rng ~mean:cfg.think
-      in
-      let retry_interval = Float.max 0.25 (2.0 *. cfg.rto) in
-      let send_open c =
-        transport.send ~dst:c.node
-          (Wire.Open_session { session = c.id; inc = c.inc });
-        c.opened <- true
-      in
-      let send_acquire c =
-        if not c.opened then send_open c;
-        transport.send ~dst:c.node
-          (Wire.Acquire { session = c.id; lock = c.lock; req = c.req })
-      in
-      let complete_round c =
-        c.round <- c.round + 1;
-        if c.round >= cfg.rounds then begin
-          c.phase <- Done;
-          incr completed
-        end
-        else begin
-          c.phase <- Thinking;
-          wake ~at:(now () +. think_delay ()) c Start
-        end
-      in
-      let start_round c =
-        if c.phase = Thinking then begin
-          c.req <- c.round + 1;
-          acquires.(c.shard) <- acquires.(c.shard) + 1;
-          let t = now () in
-          c.phase <- Waiting { sent_at = t; last_try = t };
-          send_acquire c;
-          wake ~at:(t +. retry_interval) c Retry
-        end
-      in
-      let next_live node =
-        let rec go k step =
-          if step > cfg.n then node
-          else if alive.(k) then k
-          else go ((k + 1) mod cfg.n) (step + 1)
-        in
-        go ((node + 1) mod cfg.n) 0
+              Clients.now;
+              send = (fun ~node frame -> transport.send ~dst:node frame);
+              wake =
+                (fun ~at ~client what ->
+                  Event_queue.schedule wakeups
+                    ~time:(Float.max at (Event_queue.now wakeups))
+                    (client, what));
+            }
+          (workload cfg)
+          ~retry_interval:(Float.max 0.25 (2.0 *. cfg.rto))
+          ~inc:epoch ~rng:(Rng.create cfg.seed)
       in
       (* The workload epoch, set when the hello phase ends. It anchors the
          daemons' chaos windows; a node keeps saying hello until it has
@@ -442,57 +316,12 @@ let supervise (cfg : config) =
           send_workload site
         | Wire.Strace { shard; entries; _ }
           when shard >= 0 && shard < cfg.shards ->
-          push_batch shard entries
+          Clients.push_trace clients ~shard entries
         | Wire.Metrics { site; reliable; _ } when site >= 0 && site < cfg.n ->
           live_stats.(site) <- reliable
         | Wire.Metrics_v2 { site; snapshot } when site >= 0 && site < cfg.n ->
           snapshots.(site) <- snapshot
-        | Wire.Grant { session; req; deadline = _; _ }
-          when session >= 0 && session < cfg.clients -> (
-          let c = clients.(session) in
-          match c.phase with
-          | Waiting { sent_at; _ } when req = c.req ->
-            grants.(c.shard) <- grants.(c.shard) + 1;
-            client_grants.(c.id) <- client_grants.(c.id) + 1;
-            Summary.add latency.(c.shard) (now () -. sent_at);
-            Dmx_obs.Metric.Histogram.observe_s acq_hist.(c.shard)
-              (now () -. sent_at);
-            if cfg.abandon > 0.0 && Rng.float rng 1.0 < cfg.abandon then
-              (* simulate a client crash while holding: no release, no
-                 renewal — the lease must clean up after us *)
-              c.phase <- Draining
-            else begin
-              let release_at = now () +. cfg.hold in
-              c.phase <- Holding { release_at };
-              wake ~at:release_at c Release;
-              if cfg.hold > cfg.lease /. 2.0 then
-                wake ~at:(now () +. (cfg.lease /. 2.0)) c Renew
-            end;
-            if c.phase = Draining then
-              wake ~at:(now () +. (2.0 *. cfg.lease) +. 1.0) c Failsafe
-          | _ -> ()  (* renewal ack, duplicate, or stale grant *))
-        | Wire.Expire { session; req; _ }
-          when session >= 0 && session < cfg.clients -> (
-          let c = clients.(session) in
-          match c.phase with
-          | (Holding _ | Draining) when req = c.req ->
-            expiries.(c.shard) <- expiries.(c.shard) + 1;
-            complete_round c
-          | _ -> ()  (* stale: the round already moved on *))
-        | Wire.Deny { session; req; reason; _ }
-          when session >= 0 && session < cfg.clients -> (
-          let c = clients.(session) in
-          match c.phase with
-          | Waiting w when req = c.req ->
-            if reason = "no-session" then begin
-              (* the node lost (or never had) the session: re-introduce
-                 it and retry on the spot *)
-              c.opened <- false;
-              w.last_try <- now ();
-              send_acquire c
-            end
-          | _ -> ())
-        | _ -> ()
+        | frame -> Clients.on_frame clients frame
       in
       let drain () =
         let rec go () =
@@ -558,7 +387,7 @@ let supervise (cfg : config) =
       let t0 = now () in
       since := Some t0;
       transport.broadcast (Wire.Workload { since = t0 });
-      Array.iter (fun c -> wake ~at:(t0 +. think_delay ()) c Start) clients;
+      Clients.start clients;
       let pending_kills = ref (List.sort compare cfg.kills) in
       let pending_restarts = ref (List.sort compare cfg.restarts) in
       let last_hb = ref Float.neg_infinity in
@@ -568,104 +397,39 @@ let supervise (cfg : config) =
           Spawn.kill_quietly pid;
           pids.(site) <- None
         | None -> ());
-        alive.(site) <- false;
         hello_inc.(site) <- Float.nan;
-        for shard = 0 to cfg.shards - 1 do
-          push_batch shard
-            [
-              {
-                Trace.time = now ();
-                site = Shard_map.site_of_node ~shard ~n:cfg.n site;
-                kind = Trace.Crash;
-              };
-            ]
-        done;
-        (* re-home every session bound to the dead node: queued acquires
-           restart on a live node (the latency clock keeps running, so
-           failover cost shows up in the percentiles); holds are void —
-           the lease dies with the node's shard instance *)
-        Array.iter
-          (fun c ->
-            if c.node = site && c.phase <> Done then begin
-              incr rehomed;
-              c.node <- next_live site;
-              c.opened <- false;
-              c.inc <- Unix.gettimeofday ();
-              match c.phase with
-              | Waiting w ->
-                w.last_try <- now ();
-                send_acquire c
-              | Holding _ | Draining ->
-                expiries.(c.shard) <- expiries.(c.shard) + 1;
-                complete_round c
-              | Thinking | Done -> ()
-            end)
-          clients
+        Clients.kill clients site
       in
       let restart_node site =
-        if not alive.(site) then begin
+        if not (Clients.alive clients site) then begin
           pids.(site) <- Some (spawn site);
-          alive.(site) <- true;
-          for shard = 0 to cfg.shards - 1 do
-            push_batch shard
-              [
-                {
-                  Trace.time = now ();
-                  site = Shard_map.site_of_node ~shard ~n:cfg.n site;
-                  kind = Trace.Recover;
-                };
-              ]
-          done
+          Clients.restart clients site
         end
-      in
-      let handle_wakeup w =
-        let c = clients.(w.client) in
-        match (w.what, c.phase) with
-        | Start, Thinking -> start_round c
-        | Retry, Waiting wt ->
-          if now () -. wt.last_try >= retry_interval -. 1e-6 then begin
-            wt.last_try <- now ();
-            send_acquire c
-          end;
-          wake ~at:(now () +. retry_interval) c Retry
-        | Release, Holding { release_at } when now () >= release_at -. 1e-6 ->
-          transport.send ~dst:c.node
-            (Wire.Release_lock { session = c.id; lock = c.lock; req = c.req });
-          complete_round c
-        | Renew, Holding { release_at } ->
-          if release_at > now () then begin
-            transport.send ~dst:c.node
-              (Wire.Renew { session = c.id; lock = c.lock; req = c.req });
-            wake ~at:(now () +. (cfg.lease /. 2.0)) c Renew
-          end
-        | Failsafe, Draining ->
-          (* the Expire frame was lost (or the node died without one):
-             the hold is certainly gone by now *)
-          expiries.(c.shard) <- expiries.(c.shard) + 1;
-          complete_round c
-        | _ -> ()
       in
       (* the run also plays out its kill/restart schedule, and waits for
          every restarted node to rejoin *)
       let settled () =
         !pending_kills = [] && !pending_restarts = []
-        && Array.for_all2
-             (fun live inc -> (not live) || not (Float.is_nan inc))
-             alive hello_inc
+        && List.for_all
+             (fun s ->
+               (not (Clients.alive clients s))
+               || not (Float.is_nan hello_inc.(s)))
+             sites
       in
       while
-        (!completed < cfg.clients || not (settled ())) && now () < cfg.timeout
+        (Clients.completed clients < cfg.clients || not (settled ()))
+        && now () < cfg.timeout
       do
         drain ();
         if now () -. !last_hb >= 0.5 then begin
           last_hb := now ();
           (* keepalive: the daemons exit on driver silence *)
-          Array.iteri
-            (fun site live ->
-              if live then
+          List.iter
+            (fun site ->
+              if Clients.alive clients site then
                 transport.send ~dst:site
                   (Wire.Heartbeat { site = cfg.n; time = now () }))
-            alive
+            sites
         end;
         let rel = now () -. t0 in
         (match !pending_kills with
@@ -679,20 +443,22 @@ let supervise (cfg : config) =
           restart_node site
         | _ -> ());
         let rec fire () =
-          match Dmx_sim.Heap.peek wakeups with
-          | Some w when w.at <= now () ->
-            ignore (Dmx_sim.Heap.pop wakeups);
-            handle_wakeup w;
+          match Event_queue.peek_time wakeups with
+          | Some at when at <= now () ->
+            Option.iter
+              (fun { Event_queue.payload = client, what; _ } ->
+                Clients.on_wake clients ~client what)
+              (Event_queue.next wakeups);
             fire ()
           | Some _ | None -> ()
         in
         fire ();
         Unix.sleepf 0.0005
       done;
-      if !completed < cfg.clients then
+      if Clients.completed clients < cfg.clients then
         failwith
-          (Printf.sprintf "timeout: %d/%d clients finished" !completed
-             cfg.clients);
+          (Printf.sprintf "timeout: %d/%d clients finished"
+             (Clients.completed clients) cfg.clients);
       if not (settled ()) then
         failwith "timeout: the kill/restart schedule did not play out";
       (* phase 3: shutdown, final Strace/Metrics drain, reap *)
@@ -729,21 +495,12 @@ let supervise (cfg : config) =
       transport.close ();
       Ok
         {
-          shard_acquires = acquires;
-          shard_grants = grants;
-          shard_expiries = expiries;
-          shard_latency = latency;
-          client_grants;
-          shard_entries =
-            Array.map (fun bs -> List.concat (List.rev bs)) shard_batches;
+          tally = Clients.tally clients;
           crashy = cfg.kills <> [];
           lossy = not (Chaos.is_trivial plan);
           elapsed = Unix.gettimeofday () -. started_wall;
-          clients_done = !completed;
-          rehomed = !rehomed;
           node_stats = live_stats;
           node_snapshots = snapshots;
-          driver_obs = Dmx_obs.Registry.snapshot obs;
         }
     with
     | Failure msg ->
@@ -757,21 +514,7 @@ let supervise (cfg : config) =
 let run cfg =
   match supervise cfg with
   | Error e -> Error ("swarm: " ^ e)
-  | Ok b ->
-    Ok
-      {
-        per_shard =
-          distil ~n:cfg.n ~crashy:b.crashy ~lossy:b.lossy
-            ~acquires:b.shard_acquires ~grants:b.shard_grants
-            ~expiries:b.shard_expiries ~latency:b.shard_latency
-            ~entries:b.shard_entries;
-        wall_seconds = b.elapsed;
-        completed_clients = b.clients_done;
-        rehomed_sessions = b.rehomed;
-        live_stats = b.node_stats;
-        snapshots = b.node_snapshots;
-        driver_snapshot = b.driver_obs;
-      }
+  | Ok b -> Ok (distil ~n:cfg.n b)
 
 (* ---- reporting ---- *)
 

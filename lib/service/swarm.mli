@@ -1,8 +1,8 @@
 (** The closed-loop client-swarm driver for the sharded lock service.
 
     Spawns [n] {!Snode} daemons over a real transport, runs a
-    population of client state machines (think → acquire → hold →
-    release/abandon, for a fixed number of rounds each) with every
+    {!Clients} population (think → acquire → hold → release/abandon,
+    for a fixed number of rounds each) on the wall clock with every
     session multiplexed over the driver's single endpoint, optionally
     kills and restarts daemons mid-run — re-homing the dead node's
     sessions onto live nodes with fresh incarnations — and finally
@@ -67,6 +67,8 @@ val default : n:int -> config
     lease, no kills, no chaos, TCP. *)
 
 val validate : config -> (unit, string) result
+(** {!Clients.check}, plus the transport, hello timeout, port list and
+    chaos plan; messages carry a [swarm:] prefix. *)
 
 (** Per-shard distillation: driver-side counters, the acquire-latency
     summary, and the oracle's verdict over the merged trace (expressed
@@ -119,40 +121,20 @@ val judge :
     entries and wire-level chaos are invisible to its matcher) and
     custody off when [crashy]. *)
 
-val distil :
-  n:int ->
-  crashy:bool ->
-  lossy:bool ->
-  acquires:int array ->
-  grants:int array ->
-  expiries:int array ->
-  latency:Summary.t array ->
-  entries:Dmx_sim.Trace.entry list array ->
-  shard_outcome array
-(** {!judge} every shard (also used by {!Sim_swarm}). All arrays are
-    indexed by shard. *)
-
 (** What the supervising half of {!run} collects, before any trace is
-    judged. Per-shard arrays are indexed by shard, [client_grants] by
-    client id. *)
+    judged. *)
 type books = {
-  shard_acquires : int array;
-  shard_grants : int array;
-  shard_expiries : int array;
-  shard_latency : Summary.t array;
-  client_grants : int array;  (** [Grant]s matched to a waiting request *)
-  shard_entries : Dmx_sim.Trace.entry list array;
-      (** each shard's streamed trace plus the driver's [Crash]/[Recover]
-          entries, in arrival order *)
+  tally : Clients.tally;  (** the client population's books *)
   crashy : bool;  (** the config kills a node *)
   lossy : bool;  (** the chaos plan injects faults *)
-  elapsed : float;  (** wall-clock seconds, spawn to reap *)
-  clients_done : int;
-  rehomed : int;
+  elapsed : float;  (** seconds, spawn to reap (virtual in {!Sim_swarm}) *)
   node_stats : (string * int) list array;
   node_snapshots : Dmx_obs.Snapshot.t array;
-  driver_obs : Dmx_obs.Snapshot.t;
 }
+
+val distil : n:int -> books -> outcome
+(** {!judge} every shard's trace and assemble the outcome (also used by
+    {!Sim_swarm}). *)
 
 val supervise : config -> (books, string) result
 (** Validate, spawn the daemons, drive the clients and the kill/restart
