@@ -15,10 +15,11 @@ let execs base = if !quick then max 40 (base / 5) else base
 (* Parallelism for the embarrassingly-parallel row fan-outs below; same
    set-once-then-read-only discipline as [quick]. Each row is an
    independent seeded simulation, and [Pool] collects results by index,
-   so tables are byte-identical at any job count. *)
+   so tables — and, through [Validate.par_map], model verdicts — are
+   byte-identical at any job count. *)
 let jobs = ref 1
-let par_map f xs = Dmx_sim.Pool.map ~jobs:!jobs f xs
-let par_concat_map f xs = Dmx_sim.Pool.concat_map ~jobs:!jobs f xs
+let par_map f xs = Validate.par_map ~jobs:!jobs f xs
+let par_concat_map f xs = List.concat (par_map f xs)
 
 let heavy ?(seed = 42) ?(cs = 1.0) ?(delay = Net.Constant 1.0) ?(runs = 400) n =
   {

@@ -1,10 +1,7 @@
-(* Experiment registry and driver, shared by the standalone bench
-   executable (bench/main.exe) and the `dmx-sim bench` subcommand.
-
-   Besides running experiments it records a machine-readable perf
-   trajectory: wall-clock, simulator events processed and events/sec per
-   experiment, plus peak heap, written as a BENCH_*.json snapshot so
-   future changes have a baseline to regress against. *)
+(* Experiment registry and driver behind the `dmx-sim bench` subcommand.
+   Performance is measured by perf/ (see perf/README.md); this suite
+   regenerates the paper's tables and figures and, with --validate,
+   re-checks them against the Section 5 closed forms. *)
 
 module R = Dmx_baselines.Runner
 
@@ -26,7 +23,6 @@ let registry =
     ("model-check", ("MC: exhaustive small-scope schedule exploration", Experiments.model_check));
     ("ablation", ("A1/A2: design-choice ablations (piggyback, eager fails)", Experiments.ablation));
     ("asymptotics", ("A3: huge-N sqrt(N)/log(N) scaling, machine-checked", Experiments.asymptotics));
-    ("micro", ("M1: substrate micro-benchmarks", Micro.run));
     ("cluster-smoke", ("N1: real multi-process TCP cluster smoke", Net_smoke.run));
     ("cluster-chaos", ("N2: UDP cluster soak under injected loss", Net_chaos.run));
     ("lock-service", ("S1: sharded lock service under a client swarm", Service_swarm.run));
@@ -51,43 +47,11 @@ let print_experiments () =
     (fun (name, (desc, _)) -> Printf.printf "  %-16s %s\n" name desc)
     registry
 
-type outcome = {
-  name : string;
-  wall_s : float;  (* wall clock, not CPU: parallel speedup must show *)
-  events : int;  (* simulator events processed during this experiment *)
-  ok : bool;
-}
-
-let write_json ~path ~quick ~jobs ~total_wall_s ~oracle_rejected outcomes =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"dmx-bench/1\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add "  \"jobs\": %d,\n" jobs;
-  add "  \"experiments\": [\n";
-  List.iteri
-    (fun i o ->
-      let eps =
-        if o.wall_s > 0.0 then float_of_int o.events /. o.wall_s else 0.0
-      in
-      add
-        "    {\"name\": \"%s\", \"wall_s\": %.6f, \"events\": %d, \
-         \"events_per_sec\": %.1f, \"ok\": %b}%s\n"
-        o.name o.wall_s o.events eps o.ok
-        (if i < List.length outcomes - 1 then "," else ""))
-    outcomes;
-  add "  ],\n";
-  add "  \"total_wall_s\": %.6f,\n" total_wall_s;
-  add "  \"peak_heap_words\": %d,\n" (Gc.quick_stat ()).Gc.top_heap_words;
-  add "  \"oracle_rejected\": %d\n" oracle_rejected;
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
-(* Run [to_run] (pre-validated names) and return the exit code. *)
-let run ?(jobs = Dmx_sim.Pool.default_jobs ()) ?json ?(validate = false)
+(* Run [to_run] (pre-validated names) and return the exit code: 1 when an
+   experiment failed, 2 when a model verdict failed, else 0. Oracle
+   rejections under [check] are counted in [Runner.check_failures], which
+   the caller turns into its own exit code. *)
+let run ?(jobs = Dmx_sim.Pool.default_jobs ()) ?(validate = false)
     ?validate_out ~quick ~check to_run =
   Scenarios.quick := quick;
   Scenarios.jobs := max 1 jobs;
@@ -101,43 +65,26 @@ let run ?(jobs = Dmx_sim.Pool.default_jobs ()) ?json ?(validate = false)
     (if quick then " (quick mode)" else "");
   let t0 = Unix.gettimeofday () in
   let failed = ref [] in
-  let outcomes = ref [] in
   List.iter
     (fun name ->
       let _, f = List.assoc name registry in
       let t = Unix.gettimeofday () in
-      let e0 = Atomic.get Dmx_sim.Engine.events_total in
-      let ok =
-        try
-          f ();
-          true
-        with Failure msg ->
-          failed := name :: !failed;
-          Printf.printf "[%s FAILED: %s]\n%!" name msg;
-          false
-      in
-      let wall_s = Unix.gettimeofday () -. t in
-      let events = Atomic.get Dmx_sim.Engine.events_total - e0 in
-      if ok then Printf.printf "[%s finished in %.1fs]\n%!" name wall_s;
-      outcomes := { name; wall_s; events; ok } :: !outcomes)
+      match f () with
+      | () ->
+        Printf.printf "[%s finished in %.1fs]\n%!" name
+          (Unix.gettimeofday () -. t)
+      | exception Failure msg ->
+        failed := name :: !failed;
+        Printf.printf "[%s FAILED: %s]\n%!" name msg)
     to_run;
-  let total_wall_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "\nTotal: %.1fs\n" total_wall_s;
+  Printf.printf "\nTotal: %.1fs\n" (Unix.gettimeofday () -. t0);
   let oracle_rejected = Atomic.get R.check_failures in
   if oracle_rejected > 0 then
     Printf.printf "trace oracle rejected %d run(s)\n" oracle_rejected;
   if !failed <> [] then
     Printf.printf "FAILED experiments: %s\n"
       (String.concat ", " (List.rev !failed));
-  (match json with
-  | Some path ->
-    write_json ~path ~quick ~jobs ~total_wall_s ~oracle_rejected
-      (List.rev !outcomes);
-    Printf.printf "wrote %s\n" path
-  | None -> ());
   let model_failures =
     if validate then Validate.summarize ?out:validate_out () else 0
   in
-  if !failed <> [] || oracle_rejected > 0 then 1
-  else if model_failures > 0 then 2
-  else 0
+  if !failed <> [] then 1 else if model_failures > 0 then 2 else 0

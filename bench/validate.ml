@@ -8,7 +8,35 @@ type entry =
 
 let lock = Mutex.create ()
 let entries : entry list ref = ref []
-let push e = Mutex.protect lock (fun () -> entries := e :: !entries)
+
+(* A job run through [par_map] records into its own buffer, so that a
+   fan-out lands its entries in job order, not in arrival order. *)
+let job_buffer : entry list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let push e =
+  match Domain.DLS.get job_buffer with
+  | Some buf -> buf := e :: !buf
+  | None -> Mutex.protect lock (fun () -> entries := e :: !entries)
+
+let par_map ~jobs f xs =
+  let job x =
+    let saved = Domain.DLS.get job_buffer in
+    let buf = ref [] in
+    Domain.DLS.set job_buffer (Some buf);
+    let y =
+      Fun.protect
+        ~finally:(fun () -> Domain.DLS.set job_buffer saved)
+        (fun () -> f x)
+    in
+    (y, !buf)
+  in
+  List.map
+    (fun (y, buf) ->
+      List.iter push (List.rev buf);
+      y)
+    (Dmx_sim.Pool.map ~jobs job xs)
+
 let reset () = Mutex.protect lock (fun () -> entries := [])
 
 let record_report ~source ?kind ~cfg report =

@@ -6,8 +6,9 @@
     and fails the run on any band violation. Recording is a no-op unless
     {!enabled} is set, so the default bench path pays nothing.
 
-    Experiments fan rows out over worker domains ([Scenarios.par_map]),
-    so the entry list is mutex-protected. *)
+    Experiments fan rows out over worker domains ([Scenarios.par_map]);
+    {!par_map} keeps the recorded entries in job order, so the summary
+    is byte-identical at any [--jobs]. *)
 
 val enabled : bool Atomic.t
 (** Set by the driver before experiments start. *)
@@ -27,6 +28,10 @@ val record_report :
 val record_check : source:string -> Dmx_model.Model.expectation -> float -> unit
 (** Record a derived value (e.g. a Maekawa/delay-optimal sync ratio)
     against an explicit expectation. No-op when validation is off. *)
+
+val par_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [Dmx_sim.Pool.map] with each job's entries buffered, then recorded
+    in list order — the order a sequential run records them in. *)
 
 val verdicts : unit -> Dmx_model.Model.verdict list
 (** Evaluate every recorded entry, in recording order. *)

@@ -2,8 +2,8 @@
 
    dmx-sim run       -- simulate one algorithm and print its report
    dmx-sim compare   -- run every algorithm under the same scenario
-   dmx-sim validate  -- re-check a CSV report or BENCH_*.json snapshot
-                        against the paper's Section 5 closed forms
+   dmx-sim validate  -- re-check a CSV report against the paper's
+                        Section 5 closed forms
    dmx-sim quorums   -- print and validate a quorum construction
    dmx-sim avail     -- availability sweep for a construction
    dmx-sim trace     -- short annotated execution trace of a run
@@ -826,16 +826,6 @@ let bench_cmd =
       value & flag
       & info [ "quick" ] ~doc:"Smaller execution quotas (smoke mode).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "BENCH_pr5.json") (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write a machine-readable perf snapshot (wall-clock, events/sec \
-             and peak heap per experiment) to $(docv); defaults to \
-             BENCH_pr5.json. Field reference in PERFORMANCE.md.")
-  in
   let exps_arg =
     Arg.(
       value & pos_all string []
@@ -867,7 +857,7 @@ let bench_cmd =
           ~doc:"Also write the validation verdicts to $(docv) (implies \
                 $(b,--validate)).")
   in
-  let action quick check jobs json validate validate_out list exps =
+  let action quick check jobs validate validate_out list exps =
     if list then Dmx_bench.Suite.print_experiments ()
     else
       match Dmx_bench.Suite.resolve exps with
@@ -876,36 +866,33 @@ let bench_cmd =
           (String.concat ", " unknown);
         exit 1
       | Ok to_run ->
-        exit
-          (Dmx_bench.Suite.run ~jobs ?json
+        exit_checked
+          (Dmx_bench.Suite.run ~jobs
              ~validate:(validate || validate_out <> None)
              ?validate_out ~quick ~check to_run)
   in
   let term =
     Term.(
-      const action $ quick_arg $ check_arg $ jobs_arg $ json_arg $ validate_arg
+      const action $ quick_arg $ check_arg $ jobs_arg $ validate_arg
       $ validate_out_arg $ list_arg $ exps_arg)
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
          "Run the paper-reproduction experiment suite (tables, figures, \
-          model check, micro-benchmarks).")
+          model check, live cluster and lock-service smokes).")
     term
 
 (* ---- validate: re-check past output against the analytic model ---- *)
 
 let validate_cmd =
   let module Mdl = Dmx_model.Model in
-  let module Snap = Dmx_model.Snapshot in
   let file_arg =
     Arg.(
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:
-            "A CSV report from $(b,run)/$(b,compare)/$(b,sweep) $(b,--csv), \
-             or a $(b,BENCH_*.json) perf snapshot (detected by content).")
+          ~doc:"A CSV report from $(b,run)/$(b,compare)/$(b,sweep) $(b,--csv).")
   in
   let t_arg =
     Arg.(
@@ -950,19 +937,8 @@ let validate_cmd =
             "The rows were measured under a random delay model (mean T), \
              not constant delays; widens the sync-delay bands.")
   in
-  let validate_json file contents =
-    match Snap.parse contents with
-    | Error e ->
-      Printf.eprintf "%s: %s\n" file e;
-      exit 1
-    | Ok (snap, warnings) ->
-      List.iter (fun w -> Printf.printf "warning: %s\n" w) warnings;
-      Format.printf "%a" Snap.pp snap;
-      let issues = Snap.consistency snap in
-      List.iter (fun i -> Printf.printf "FAIL %s\n" i) issues;
-      if issues = [] then print_endline "snapshot OK" else exit 2
-  in
-  let validate_csv file contents ~e ~t ~load ~random =
+  let action file e t load random =
+    let contents = In_channel.with_open_bin file In_channel.input_all in
     let bad fmt = Printf.ksprintf (fun m -> Printf.eprintf "%s: %s\n" file m; exit 1) fmt in
     let lines =
       List.filteri (fun _ l -> String.trim l <> "")
@@ -1040,12 +1016,6 @@ let validate_cmd =
         (List.length verdicts) failed;
       if failed > 0 then exit 2
   in
-  let action file e t load random =
-    let contents = In_channel.with_open_bin file In_channel.input_all in
-    let trimmed = String.trim contents in
-    if trimmed <> "" && trimmed.[0] = '{' then validate_json file contents
-    else validate_csv file contents ~e ~t ~load ~random
-  in
   let term =
     Term.(const action $ file_arg $ cs_arg $ t_arg $ load_arg $ random_arg)
   in
@@ -1055,10 +1025,8 @@ let validate_cmd =
          "Re-check measured output against the paper's Section 5 closed \
           forms: a $(b,--csv) report is checked row by row against the \
           analytic message/delay/throughput bands (tell it the scenario via \
-          $(b,--cs), $(b,--t), $(b,--load), $(b,--random-delays)); a \
-          $(b,BENCH_*.json) snapshot is schema-checked and audited for \
-          internal consistency. Exit 1 on unreadable input, 2 on any \
-          violation.")
+          $(b,--cs), $(b,--t), $(b,--load), $(b,--random-delays)). Exit 1 \
+          on unreadable input, 2 on any violation.")
     term
 
 (* ---- cluster / node: the real networked runtime ---- *)
@@ -1737,69 +1705,6 @@ let top_cmd =
           them.")
     term
 
-(* ---- bench-diff: the perf-snapshot ratchet ---- *)
-
-let bench_diff_cmd =
-  let old_arg =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"OLD.json" ~doc:"Baseline dmx-bench/1 snapshot.")
-  in
-  let new_arg =
-    Arg.(
-      required & pos 1 (some file) None
-      & info [] ~docv:"NEW.json" ~doc:"Candidate dmx-bench/1 snapshot.")
-  in
-  let threshold_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:
-            "Regression threshold as a percentage: fail when an \
-             experiment's events/sec falls more than $(docv)% below the \
-             baseline.")
-  in
-  let action old_file new_file pct =
-    if pct <= 0.0 || pct >= 100.0 then begin
-      prerr_endline "bench-diff: threshold must be in (0, 100)";
-      exit 1
-    end;
-    let read_snapshot file =
-      let contents =
-        try In_channel.with_open_bin file In_channel.input_all
-        with Sys_error e ->
-          prerr_endline ("bench-diff: " ^ e);
-          exit 1
-      in
-      match Dmx_model.Snapshot.parse contents with
-      | Error e ->
-        Printf.eprintf "bench-diff: %s: %s\n" file e;
-        exit 1
-      | Ok (snap, warnings) ->
-        List.iter
-          (fun w -> Printf.eprintf "bench-diff: %s: %s\n" file w)
-          warnings;
-        snap
-    in
-    let old_ = read_snapshot old_file in
-    let new_ = read_snapshot new_file in
-    let report =
-      Dmx_model.Bench_diff.compare ~threshold:(pct /. 100.0) old_ new_
-    in
-    Format.printf "%a@?" Dmx_model.Bench_diff.pp_report report;
-    exit (if report.Dmx_model.Bench_diff.regressions > 0 then 2 else 0)
-  in
-  let term = Term.(const action $ old_arg $ new_arg $ threshold_arg) in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two dmx-bench/1 perf snapshots experiment by experiment \
-          and exit 2 when any experiment's events/sec regressed beyond \
-          the threshold — the CI ratchet over $(b,dmx-sim bench --json) \
-          output. Zero-event experiments and experiments present in only \
-          one snapshot never fail the diff.")
-    term
-
 let () =
   let doc =
     "Delay-optimal quorum-based distributed mutual exclusion (ICDCS'98) — \
@@ -1822,5 +1727,4 @@ let () =
             cluster_cmd;
             swarm_cmd;
             top_cmd;
-            bench_diff_cmd;
           ]))

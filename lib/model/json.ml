@@ -1,7 +1,7 @@
 (* Recursive-descent JSON, total: every malformed input becomes a
-   positioned Error. Scope: the dmx-bench/1 snapshots our own bench
-   driver writes, so \uXXXX escapes are decoded only as far as the
-   snapshot format needs (they never appear in practice). *)
+   positioned Error. Scope: the JSON this repository writes itself, so
+   \uXXXX escapes are decoded only as far as those documents need (they
+   never appear in practice). *)
 
 type t =
   | Null
@@ -71,7 +71,7 @@ let parse s =
               pos := !pos + 4;
               if code < 0x80 then Buffer.add_char buf (Char.chr code)
               else
-                (* out-of-ASCII escapes never occur in snapshots; keep
+                (* out-of-ASCII escapes never occur in our documents; keep
                    the information without a full UTF-8 encoder *)
                 Buffer.add_string buf (Printf.sprintf "\\u%s" hex))
           | c -> error (Printf.sprintf "bad escape \\%C" c)));

@@ -1,11 +1,13 @@
-(** Minimal JSON reader for the [dmx-bench/1] snapshot files.
+(** Minimal JSON reader for the repository's own JSON documents: the
+    [dmx-metrics/1] export (read by [Metrics_json]) and the benchmark's
+    result files.
 
-    The repository deliberately has no JSON dependency; the bench writer
-    emits snapshots by hand and this module reads them back totally:
-    every parse either returns a value or a positioned error — truncated
+    The repository deliberately has no JSON dependency; the writers
+    emit JSON by hand and this module reads it back totally: every
+    parse either returns a value or a positioned error — truncated
     input, trailing garbage, malformed literals and bad escapes are all
-    rejected, never raised through. Numbers are kept as floats (the
-    snapshot schema has no value outside the float-exact range). *)
+    rejected, never raised through. Numbers are kept as floats (no
+    document read here has a value outside the float-exact range). *)
 
 type t =
   | Null

@@ -86,6 +86,9 @@ let acceptor t snapshot =
   done
 
 let start ~port snapshot =
+  (* a client that hangs up before its response is written must cost an
+     EPIPE on that connection, not the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.setsockopt fd SO_REUSEADDR true;
   (try

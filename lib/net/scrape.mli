@@ -17,7 +17,9 @@ type t
 
 val start : port:int -> (unit -> Dmx_obs.Snapshot.t) -> t
 (** Bind the loopback listener and start serving. [port = 0] picks an
-    ephemeral port — read it back with {!port} (used by tests).
+    ephemeral port — read it back with {!port} (used by tests). Sets
+    [SIGPIPE] to ignored, as the transports do, so a client that closes
+    early cannot kill the process.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
 val port : t -> int

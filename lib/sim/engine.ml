@@ -108,13 +108,6 @@ let pp_report ppf r =
       (Stats.Summary.total r.unavailability);
   Format.fprintf ppf "@]"
 
-(* Cumulative count of events processed by every [run] in this process,
-   across all protocol instantiations and domains.  Bench drivers read
-   deltas around an experiment to report events/sec; the counter is
-   deliberately process-global (and atomic) so parallel workers all
-   contribute. *)
-let events_total : int Atomic.t = Atomic.make 0
-
 module Make (P : Protocol.PROTOCOL) = struct
   type ev =
     | Deliver of { src : int; dst : int; msg : P.message; self_msg : bool }
@@ -688,7 +681,6 @@ module Make (P : Protocol.PROTOCOL) = struct
           end
     in
     loop ();
-    ignore (Atomic.fetch_and_add events_total !processed);
     (match cfg.obs with
     | None -> ()
     | Some reg ->

@@ -117,12 +117,6 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val events_total : int Atomic.t
-(** Cumulative number of simulator events processed by every run in this
-    process, across all protocol instantiations and all domains.  Bench
-    drivers snapshot it before/after an experiment to derive events/sec;
-    it is never reset. *)
-
 module Make (P : Protocol.PROTOCOL) : sig
   val run :
     ?trace_sink:Trace.t ->

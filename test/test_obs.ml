@@ -269,6 +269,77 @@ let test_scrape_roundtrip () =
       | Ok (code, _) -> Alcotest.failf "/nope: HTTP %d (want 404)" code
       | Error e -> Alcotest.failf "/nope: %s" e)
 
+(* Hostile clients: random bytes, a 100 KB request line with no newline,
+   more header lines than the listener drains, and a client that hangs up
+   before its response is written. The registry renders to more than one
+   64 KB write, so the early hang-up makes the listener write into a
+   reset connection; with SIGPIPE at its default action that would kill
+   the test process, so the test restores the default before [start]. *)
+
+let hostile_client ~port ~hang_up payload =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      try
+        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+        ignore (Unix.write_substring fd payload 0 (String.length payload));
+        if not hang_up then begin
+          Unix.shutdown fd SHUTDOWN_SEND;
+          Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+          let chunk = Bytes.create 4096 in
+          while Unix.read fd chunk 0 4096 > 0 do () done
+        end
+      with Unix.Unix_error _ -> ())
+
+let test_scrape_hostile_clients () =
+  let reg = Registry.create () in
+  for i = 0 to 3999 do
+    Metric.Counter.add
+      (Registry.counter reg "scrape.filler" ~labels:[ ("i", string_of_int i) ])
+      i
+  done;
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let srv = Dmx_net.Scrape.start ~port:0 (fun () -> Registry.snapshot reg) in
+  Fun.protect
+    ~finally:(fun () -> Dmx_net.Scrape.stop srv)
+    (fun () ->
+      let port = Dmx_net.Scrape.port srv in
+      let expected = Export.prometheus (Registry.snapshot reg) in
+      Alcotest.(check bool) "response spans several writes" true
+        (String.length expected > 65536);
+      let still_serves what =
+        match Dmx_net.Scrape.http_get ~port "/metrics" with
+        | Ok (200, body) ->
+          Alcotest.(check string) ("serves after " ^ what) expected body
+        | Ok (code, _) -> Alcotest.failf "after %s: HTTP %d" what code
+        | Error e -> Alcotest.failf "after %s: %s" what e
+      in
+      let rng = Random.State.make [| 14 |] in
+      let random_bytes =
+        String.init 8192 (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      let many_headers =
+        "GET /metrics HTTP/1.0\r\n"
+        ^ String.concat ""
+            (List.init 100 (fun i -> Printf.sprintf "X-Filler-%d: %d\r\n" i i))
+        ^ "\r\n"
+      in
+      List.iter
+        (fun (what, hang_up, payload) ->
+          hostile_client ~port ~hang_up payload;
+          still_serves what)
+        [
+          ("random bytes", false, random_bytes);
+          ("a 100 KB request line", false, String.make 100_000 'A');
+          ("100 header lines", false, many_headers);
+          ("an early hang-up", true, "GET /metrics HTTP/1.0\r\n\r\n");
+        ];
+      (* the hung-up connection's handler runs concurrently: give it time
+         to write into the reset socket, then check the listener again *)
+      Unix.sleepf 0.2;
+      still_serves "the hung-up response was written")
+
 (* ---- sim-twin determinism: the snapshot is a function of the seed ---- *)
 
 let sim_metrics_export seed =
@@ -329,6 +400,8 @@ let suite =
         test_json_golden_roundtrip;
       Alcotest.test_case "scrape endpoint round-trip" `Quick
         test_scrape_roundtrip;
+      Alcotest.test_case "scrape survives hostile clients" `Quick
+        test_scrape_hostile_clients;
       Alcotest.test_case "sim twin metrics bit-reproducible" `Quick
         test_sim_snapshot_deterministic;
     ]

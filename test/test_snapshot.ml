@@ -1,33 +1,16 @@
-(* The dependency-free JSON reader and the dmx-bench/1 snapshot
-   validator: schema versioning, missing/mistyped fields, unknown-field
-   warnings, corrupt-input rejection, and the consistency audit. *)
+(* The dependency-free JSON reader: value round-trips and positioned
+   rejection of corrupt input. *)
 
 module J = Dmx_model.Json
-module S = Dmx_model.Snapshot
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-(* replace the first occurrence of [needle] in [hay] with [sub] *)
-let replace_once hay needle sub =
-  let nh = String.length hay and nn = String.length needle in
-  let rec find i =
-    if i + nn > nh then Alcotest.fail ("replace_once: no " ^ needle)
-    else if String.sub hay i nn = needle then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub hay 0 i ^ sub ^ String.sub hay (i + nn) (nh - i - nn)
-
 let err = function
   | Error e -> e
   | Ok _ -> Alcotest.fail "parse unexpectedly succeeded"
-
-let ok_snap = function
-  | Ok (snap, warnings) -> (snap, warnings)
-  | Error e -> Alcotest.fail ("parse failed: " ^ e)
 
 (* ---- the JSON reader ---- *)
 
@@ -64,116 +47,9 @@ let test_json_rejects_bad_input () =
   rejects "bare word" "flase" "bad literal";
   rejects "missing colon" {|{"a" 1}|} "expected ':'"
 
-(* ---- snapshot parsing ---- *)
-
-let base_doc =
-  {|{
-  "schema": "dmx-bench/1",
-  "quick": true,
-  "jobs": 2,
-  "experiments": [
-    { "name": "table1", "wall_s": 0.5, "events": 1000,
-      "events_per_sec": 2000.0, "ok": true },
-    { "name": "light-load", "wall_s": 0.25, "events": 500,
-      "events_per_sec": 2000.0, "ok": true }
-  ],
-  "total_wall_s": 0.75,
-  "peak_heap_words": 120000,
-  "oracle_rejected": 0
-}|}
-
-let test_snapshot_roundtrip () =
-  let snap, warnings = ok_snap (S.parse base_doc) in
-  Alcotest.(check (list string)) "no warnings" [] warnings;
-  Alcotest.(check string) "schema" S.schema_version snap.S.schema;
-  Alcotest.(check int) "jobs" 2 snap.S.jobs;
-  Alcotest.(check int) "experiments" 2 (List.length snap.S.experiments);
-  let e = List.hd snap.S.experiments in
-  Alcotest.(check string) "name" "table1" e.S.name;
-  Alcotest.(check int) "events" 1000 e.S.events;
-  Alcotest.(check (list string)) "consistent" [] (S.consistency snap)
-
-let test_snapshot_wrong_schema () =
-  let e =
-    err (S.parse (replace_once base_doc {|"dmx-bench/1"|} {|"dmx-bench/9"|}))
-  in
-  Alcotest.(check bool) "names the version" true (contains e "dmx-bench/9");
-  Alcotest.(check bool) "says what it understands" true
-    (contains e "this tool understands \"dmx-bench/1\"")
-
-let test_snapshot_missing_field () =
-  (* drop total_wall_s entirely *)
-  let doc = replace_once base_doc "\"total_wall_s\": 0.75,\n" "" in
-  let e = err (S.parse doc) in
-  Alcotest.(check bool) "missing named" true
-    (contains e {|missing field "total_wall_s"|})
-
-let test_snapshot_wrong_type () =
-  let e = err (S.parse (replace_once base_doc {|"quick": true|} {|"quick": "yes"|})) in
-  Alcotest.(check bool) "type named" true
-    (contains e {|field "quick" must be a boolean|})
-
-let test_snapshot_unknown_field_warns () =
-  let doc =
-    replace_once base_doc "\"quick\": true,"
-      "\"quick\": true,\n  \"future_field\": 1,"
-  in
-  let snap, warnings = ok_snap (S.parse doc) in
-  Alcotest.(check int) "still parses" 2 (List.length snap.S.experiments);
-  match warnings with
-  | [ w ] ->
-    Alcotest.(check bool) "warns by name" true
-      (contains w {|unknown field "future_field"|});
-    Alcotest.(check bool) "says ignored" true (contains w "ignored")
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 warning, got %d" (List.length l))
-
-let test_snapshot_truncated_rejected () =
-  let doc = String.sub base_doc 0 120 in
-  let e = err (S.parse doc) in
-  Alcotest.(check bool) "flagged as JSON-level" true
-    (contains e "not valid JSON");
-  Alcotest.(check bool) "offset cited" true (contains e "offset")
-
-let test_snapshot_not_json_rejected () =
-  let e = err (S.parse "algorithm,variant,n\ndelay-optimal,grid,9\n") in
-  Alcotest.(check bool) "rejected cleanly" true (contains e "not valid JSON")
-
-(* ---- consistency audit ---- *)
-
-let parsed doc = fst (ok_snap (S.parse doc))
-
-let test_consistency_flags_failures () =
-  let snap = parsed (replace_once base_doc {|"ok": true },|} {|"ok": false },|}) in
-  (match S.consistency snap with
-  | [ issue ] ->
-    Alcotest.(check bool) "names the experiment" true (contains issue "table1")
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 issue, got %d" (List.length l)));
-  let snap = parsed (replace_once base_doc {|"oracle_rejected": 0|} {|"oracle_rejected": 3|}) in
-  Alcotest.(check bool) "oracle rejections flagged" true
-    (List.exists (fun i -> contains i "oracle") (S.consistency snap))
-
-let test_consistency_flags_derived_field_drift () =
-  (* events_per_sec recorded as 2000 but events/wall_s says 4000 *)
-  let doc =
-    replace_once base_doc {|"wall_s": 0.5, "events": 1000|}
-      {|"wall_s": 0.25, "events": 1000|}
-  in
-  let issues = S.consistency (parsed doc) in
-  Alcotest.(check bool) "drift flagged" true
-    (List.exists (fun i -> contains i "events_per_sec") issues)
-
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
       ("json: values round-trip", test_json_values);
       ("json: bad input rejected with offsets", test_json_rejects_bad_input);
-      ("snapshot: well-formed round-trip", test_snapshot_roundtrip);
-      ("snapshot: unknown schema version", test_snapshot_wrong_schema);
-      ("snapshot: missing field", test_snapshot_missing_field);
-      ("snapshot: mistyped field", test_snapshot_wrong_type);
-      ("snapshot: unknown field warns", test_snapshot_unknown_field_warns);
-      ("snapshot: truncated file rejected", test_snapshot_truncated_rejected);
-      ("snapshot: non-JSON rejected", test_snapshot_not_json_rejected);
-      ("consistency: failed experiments flagged", test_consistency_flags_failures);
-      ("consistency: derived-field drift flagged", test_consistency_flags_derived_field_drift);
     ]
