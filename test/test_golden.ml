@@ -136,6 +136,80 @@ let test_huge_n_needs_explicit_workload () =
     | Error e -> Alcotest.fail e
     | Ok s' -> Alcotest.(check bool) "round-trips" true (s = s'))
 
+(* Trace pins: the MD5 of [Trace.dump] for three seeded runs. The report
+   goldens above pin statistics; these pin every byte of the recorded
+   trace (message renderings, entry order, timestamps to 4 decimals), so
+   a change to how traces are rendered or stored must leave them exactly
+   as they are. Each run also asserts that the entry kinds it exists to
+   cover actually occur. *)
+
+let trace_dump tr = Format.asprintf "%a" Dmx_sim.Trace.dump tr
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let pinned_traces =
+  [
+    ( "ft-delay-optimal, Reliable, 5% loss",
+      {
+        (Sch.default ~algo:"ft-delay-optimal" ~n:9) with
+        Sch.quorum = "tree";
+        seed = 1501;
+        execs = 40;
+        cs = 0.5;
+        delay = Net.Exponential { mean = 1.0 };
+        faults = { Net.no_faults with Net.loss = 0.05 };
+        reliability = true;
+      },
+      [ "DROP -> "; "seq#"; "ack<="; "retx#" ],
+      "8d53fdff34096e7543930a8f3b59ab20" );
+    ( "delay-optimal, heavy load",
+      {
+        (Sch.default ~algo:"delay-optimal" ~n:9) with
+        Sch.quorum = "grid";
+        seed = 1502;
+        execs = 60;
+        cs = 0.3;
+        delay = Net.Uniform { lo = 0.5; hi = 1.5 };
+      },
+      [ "inquire+transfer"; "+transfer("; "release(("; ",->(" ],
+      "109153e020540f53fca14b2818a28adb" );
+    ( "ft-delay-optimal, crash/recover and duplication",
+      {
+        (Sch.default ~algo:"ft-delay-optimal" ~n:7) with
+        Sch.quorum = "tree";
+        seed = 1503;
+        execs = 50;
+        cs = 0.5;
+        delay = Net.Uniform { lo = 0.5; hi = 1.5 };
+        faults = { Net.no_faults with Net.loss = 0.02; duplication = 0.05 };
+        crashes = [ (15.0, 2) ];
+        recoveries = [ (40.0, 2) ];
+        reliability = true;
+      },
+      [ "DUP -> "; "DROP -> "; "drop (crashed endpoint) -> "; "CRASH";
+        "RECOVER"; "seq#0:hello" ],
+      "cce52b21a315738629a47b7339e7f171" );
+  ]
+
+let test_trace_pin (label, s, must_contain, digest) () =
+  match R.run_schedule s with
+  | Error e -> Alcotest.fail e
+  | Ok (_, tr) ->
+    let dump = trace_dump tr in
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: trace contains %S" label needle)
+          true (contains dump needle))
+      must_contain;
+    Alcotest.(check string)
+      (label ^ ": trace digest")
+      digest
+      (Digest.to_hex (Digest.string dump))
+
 let suite =
   List.map
     (fun ((algo, quorum, _, _) as case) ->
@@ -152,3 +226,7 @@ let suite =
       Alcotest.test_case "huge-n .dmxrepro needs an explicit workload" `Quick
         test_huge_n_needs_explicit_workload;
     ]
+  @ List.map
+      (fun ((label, _, _, _) as pin) ->
+        Alcotest.test_case ("trace pin: " ^ label) `Quick (test_trace_pin pin))
+      pinned_traces
