@@ -15,9 +15,12 @@ type t = {
   mutable thread : Thread.t option;
 }
 
+let read_timeout = 1.0
+
 let read_request fd =
-  (* request line, then drain headers until the blank line; bounded so a
-     hostile client cannot hold the handler forever *)
+  (* request line, then drain headers until the blank line; bounded in
+     bytes, and each read in time by [read_timeout], so a hostile client
+     cannot hold the handler forever *)
   let buf = Buffer.create 256 in
   let b = Bytes.create 1 in
   let rec line limit =
@@ -62,6 +65,9 @@ let respond fd ~status ~content_type body =
 
 let serve_one snapshot fd =
   (try
+     (* a silent client's read fails with EAGAIN after the timeout, which
+        ends this handler like any other read error *)
+     Unix.setsockopt_float fd SO_RCVTIMEO read_timeout;
      let request = read_request fd in
      match String.split_on_char ' ' request with
      | [ "GET"; "/metrics"; _ ] | [ "GET"; "/metrics" ] ->

@@ -22,6 +22,11 @@ val start : port:int -> (unit -> Dmx_obs.Snapshot.t) -> t
     early cannot kill the process.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
+val read_timeout : float
+(** Seconds (1.0) a connection may leave the listener waiting for its
+    next request byte before the handler closes it: a client that
+    connects and sends nothing does not hold a thread for long. *)
+
 val port : t -> int
 (** The bound port (useful when {!start} was given port 0). *)
 

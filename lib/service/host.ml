@@ -49,6 +49,7 @@ module Make (P : Proto.PROTOCOL) = struct
     mutable received : int;
     mutable denies : int;
     mutable obs : Dmx_obs.Registry.t option;  (* set by [attach_obs] *)
+    render : Trace.Render.t;  (* per host: hosts may run on several domains *)
   }
 
   let count_kind t k =
@@ -61,7 +62,7 @@ module Make (P : Proto.PROTOCOL) = struct
         (Dmx_obs.Registry.counter reg "service.messages.kind"
            ~labels:[ ("kind", k) ])
 
-  let render msg = Format.asprintf "%a" P.pp_message msg
+  let render t msg = Trace.Render.text t.render P.pp_message msg
 
   (* Traces are per shard, in the shard's own site-id space: each shard's
      merged log must look to the oracle like a self-contained n-site
@@ -88,6 +89,7 @@ module Make (P : Proto.PROTOCOL) = struct
         received = 0;
         denies = 0;
         obs = None;
+        render = Trace.Render.create ();
       }
     in
     let make_shard index =
@@ -105,7 +107,7 @@ module Make (P : Proto.PROTOCOL) = struct
           now = caps.now;
           send =
             (fun ~dst msg ->
-              push_trace (Trace.Send { dst; msg = render msg });
+              push_trace (Trace.Send { dst; msg = render t msg });
               if dst = my_site then Queue.push msg selfq
               else begin
                 t.sent <- t.sent + 1;
@@ -248,7 +250,7 @@ module Make (P : Proto.PROTOCOL) = struct
       | Ok msg ->
         t.received <- t.received + 1;
         let src = Shard_map.site_of_node ~shard ~n:t.n src_node in
-        trace t sh (Trace.Receive { src; msg = render msg });
+        trace t sh (Trace.Receive { src; msg = render t msg });
         P.on_message sh.pctx sh.pstate ~src msg;
         settle t sh
       | Error e ->

@@ -110,7 +110,13 @@ let pp_report ppf r =
 
 module Make (P : Protocol.PROTOCOL) = struct
   type ev =
-    | Deliver of { src : int; dst : int; msg : P.message; self_msg : bool }
+    | Deliver of {
+        src : int;
+        dst : int;
+        msg : P.message;
+        text : string;  (* the send's rendering, "" when untraced *)
+        self_msg : bool;
+      }
     | Timer of { site : int; tag : int }
     | Arrival of { site : int }
     | Cs_exit of { site : int }
@@ -137,6 +143,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     q : ev Event_queue.t;
     net : Network.t;
     trace : Trace.t;
+    render : Trace.Render.t;  (* owned by this run, never shared *)
     counters : Stats.Counter.t;
     sync_delay : Stats.Summary.t;
     response_time : Stats.Summary.t;
@@ -170,6 +177,21 @@ module Make (P : Protocol.PROTOCOL) = struct
 
   let target sim = sim.cfg.warmup + sim.cfg.max_executions
 
+  (* A traced message is rendered once, at send, and the text rides in its
+     [Deliver] event for the receive entry and any duplicate copies. *)
+  let render sim msg = Trace.Render.text sim.render P.pp_message msg
+
+  (* Records a send and returns its text; "" (no rendering, no entry)
+     when untraced, since send is the hottest path in the engine. *)
+  let record_send sim ~site ~dst msg =
+    if Trace.enabled sim.trace then begin
+      let text = render sim msg in
+      Trace.record sim.trace ~time:(Event_queue.now sim.q) ~site
+        (Trace.Send { dst; msg = text });
+      text
+    end
+    else ""
+
   let sched_live sim ~time ev =
     Event_queue.schedule sim.q ~time ev;
     sim.live_events <- sim.live_events + 1
@@ -182,15 +204,9 @@ module Make (P : Protocol.PROTOCOL) = struct
     let now () = Event_queue.now sim.q in
           let send ~dst msg =
             if dst = self then begin
-              (* Rendering the payload is pure allocation when tracing is
-                 off, and send is the hottest path in the engine — guard
-                 every [asprintf] behind [Trace.enabled]. *)
-              if Trace.enabled sim.trace then
-                Trace.record sim.trace ~time:(now ()) ~site:self
-                  (Trace.Send
-                     { dst; msg = Format.asprintf "%a" P.pp_message msg });
+              let text = record_send sim ~site:self ~dst msg in
               sched_live sim ~time:(now ())
-                (Deliver { src = self; dst = self; msg; self_msg = true })
+                (Deliver { src = self; dst = self; msg; text; self_msg = true })
             end
             else begin
               match Network.transmit sim.net ~src:self ~dst ~now:(now ()) with
@@ -198,8 +214,8 @@ module Make (P : Protocol.PROTOCOL) = struct
                 if Trace.enabled sim.trace then
                   Trace.record sim.trace ~time:(now ()) ~site:self
                     (Trace.Note
-                       (Format.asprintf "drop (crashed endpoint) -> %d : %a" dst
-                          P.pp_message msg))
+                       ("drop (crashed endpoint) -> " ^ Int.to_string dst ^ " : "
+                      ^ render sim msg))
               | Network.Lost ((`Partitioned | `Faulty) as reason) ->
                 (* The send happened and is charged; the network ate it. *)
                 if warmed sim then begin
@@ -220,17 +236,14 @@ module Make (P : Protocol.PROTOCOL) = struct
                   sim.messages <- sim.messages + 1;
                   Stats.Counter.incr sim.counters (P.message_kind msg)
                 end;
-                if Trace.enabled sim.trace then
-                  Trace.record sim.trace ~time:(now ()) ~site:self
-                    (Trace.Send
-                       { dst; msg = Format.asprintf "%a" P.pp_message msg });
+                let text = record_send sim ~site:self ~dst msg in
                 List.iteri
                   (fun i at ->
                     if i > 0 then
                       Trace.record sim.trace ~time:(now ()) ~site:self
                         (Trace.Duplicate { dst });
                     sched_live sim ~time:at
-                      (Deliver { src = self; dst; msg; self_msg = false }))
+                      (Deliver { src = self; dst; msg; text; self_msg = false }))
                   ats
             end
           in
@@ -437,6 +450,7 @@ module Make (P : Protocol.PROTOCOL) = struct
             ~faults:cfg.faults ~fault_rng ~n:cfg.n ~delay:cfg.delay
             ~rng:net_rng ();
         trace;
+        render = Trace.Render.create ();
         counters = Stats.Counter.create ();
         sync_delay = Stats.Summary.create ();
         response_time = Stats.Summary.create ();
@@ -531,13 +545,13 @@ module Make (P : Protocol.PROTOCOL) = struct
       (Network.partition_edges sim.net);
     if sim.watchdog_armed then
       Event_queue.schedule sim.q ~time:cfg.stall_timeout Watchdog;
-    let deliver src dst msg self_msg =
+    let deliver src dst msg text self_msg =
       if Network.is_up sim.net dst then begin
         if (not self_msg) && Trace.enabled sim.trace then
           Trace.record sim.trace
             ~time:(Event_queue.now sim.q)
             ~site:dst
-            (Trace.Receive { src; msg = Format.asprintf "%a" P.pp_message msg });
+            (Trace.Receive { src; msg = text });
         P.on_message (ctx_of dst) (state_of dst) ~src msg
       end
     in
@@ -613,7 +627,8 @@ module Make (P : Protocol.PROTOCOL) = struct
               sim.last_progress <- time
             end;
             (match payload with
-            | Deliver { src; dst; msg; self_msg } -> deliver src dst msg self_msg
+            | Deliver { src; dst; msg; text; self_msg } ->
+              deliver src dst msg text self_msg
             | Timer { site; tag } ->
               if Network.is_up sim.net site then begin
                 Trace.record sim.trace ~time ~site (Trace.Timer tag);

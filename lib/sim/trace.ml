@@ -23,40 +23,107 @@ type kind =
 
 type entry = { time : float; site : int; kind : kind }
 
+(* Entries live column-wise in three parallel arrays, one slot per entry
+   in recording order: an unboxed float array of times, an int array of
+   sites and an array of kinds. Recording writes three slots (no cons
+   cell, entry record or boxed float); the arrays double as they fill, up
+   to [capacity + 1] slots. *)
 type t = {
   enabled : bool;
   capacity : int;
-  mutable entries : entry list; (* newest first *)
+  mutable times : Float.Array.t;
+  mutable sites : int array;
+  mutable kinds : kind array;
   mutable length : int;
   mutable truncated : bool;
 }
 
 let create ?(enabled = false) ?(capacity = 1_000_000) () =
-  { enabled; capacity; entries = []; length = 0; truncated = false }
+  if capacity < 0 then invalid_arg "Trace.create: negative capacity";
+  {
+    enabled;
+    capacity;
+    times = Float.Array.create 0;
+    sites = [||];
+    kinds = [||];
+    length = 0;
+    truncated = false;
+  }
 
 let enabled t = t.enabled
 
+let grow t =
+  let size = Array.length t.kinds in
+  let want = Stdlib.max 256 (2 * size) in
+  let want = if want > t.capacity then t.capacity + 1 else want in
+  let times = Float.Array.create want in
+  Float.Array.blit t.times 0 times 0 t.length;
+  let sites = Array.make want 0 in
+  Array.blit t.sites 0 sites 0 t.length;
+  let kinds = Array.make want Enter_cs in
+  Array.blit t.kinds 0 kinds 0 t.length;
+  t.times <- times;
+  t.sites <- sites;
+  t.kinds <- kinds
+
+(* Keep the newest half: one O(capacity) blit per [capacity / 2] records
+   amortizes the trim. Vacated kind slots are reset so the GC can reclaim
+   the discarded payloads. *)
+let trim t =
+  let keep = t.capacity / 2 in
+  let from = t.length - keep in
+  Float.Array.blit t.times from t.times 0 keep;
+  Array.blit t.sites from t.sites 0 keep;
+  Array.blit t.kinds from t.kinds 0 keep;
+  Array.fill t.kinds keep (t.length - keep) Enter_cs;
+  t.length <- keep;
+  t.truncated <- true
+
 let record t ~time ~site kind =
   if t.enabled then begin
-    t.entries <- { time; site; kind } :: t.entries;
-    t.length <- t.length + 1;
-    if t.length > t.capacity then begin
-      (* Drop the oldest half; amortizes the O(n) rebuild. *)
-      let keep = t.capacity / 2 in
-      t.entries <- List.filteri (fun i _ -> i < keep) t.entries;
-      t.length <- keep;
-      t.truncated <- true
-    end
+    if t.length = Array.length t.kinds then grow t;
+    let i = t.length in
+    Float.Array.set t.times i time;
+    t.sites.(i) <- site;
+    t.kinds.(i) <- kind;
+    t.length <- i + 1;
+    if t.length > t.capacity then trim t
   end
 
-let entries t = List.rev t.entries
+let iter f t =
+  for i = 0 to t.length - 1 do
+    f ~time:(Float.Array.get t.times i) ~site:t.sites.(i) t.kinds.(i)
+  done
+
+let entries t =
+  List.init t.length (fun i ->
+      { time = Float.Array.get t.times i; site = t.sites.(i); kind = t.kinds.(i) })
+
 let length t = t.length
 let truncated t = t.truncated
 
 let clear t =
-  t.entries <- [];
+  Array.fill t.kinds 0 t.length Enter_cs;
   t.length <- 0;
   t.truncated <- false
+
+module Render = struct
+  type t = { buf : Buffer.t; ppf : Format.formatter }
+
+  let create () =
+    let buf = Buffer.create 64 in
+    { buf; ppf = Format.formatter_of_buffer buf }
+
+  (* Flushing resets the formatter to the state [Format.asprintf] starts
+     from, so the text is the same bytes without a fresh buffer and
+     formatter per call. *)
+  let text t pp x =
+    pp t.ppf x;
+    Format.pp_print_flush t.ppf ();
+    let s = Buffer.contents t.buf in
+    Buffer.clear t.buf;
+    s
+end
 
 let pp_kind ppf = function
   | Send { dst; msg } -> Format.fprintf ppf "send -> %d : %s" dst msg
@@ -88,13 +155,15 @@ let pp_entry ppf e =
   Format.fprintf ppf "[%10.4f] site %3d  %a" e.time e.site pp_kind e.kind
 
 let dump ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) (entries t)
+  iter
+    (fun ~time ~site kind ->
+      Format.fprintf ppf "%a@." pp_entry { time; site; kind })
+    t
 
 let timeline ?(width = 72) t ~n =
-  let es = entries t in
-  let t_max =
-    List.fold_left (fun acc e -> Float.max acc e.time) 1e-9 es
-  in
+  let t_max = ref 1e-9 in
+  iter (fun ~time ~site:_ _ -> t_max := Float.max !t_max time) t;
+  let t_max = !t_max in
   let col time =
     Stdlib.min (width - 1)
       (int_of_float (time /. t_max *. float_of_int (width - 1)))
@@ -108,22 +177,22 @@ let timeline ?(width = 72) t ~n =
   in
   (* CS intervals per site: pair Enter with the following Exit *)
   let open_at = Array.make n None in
-  List.iter
-    (fun e ->
-      match e.kind with
-      | Enter_cs -> if e.site < n then open_at.(e.site) <- Some e.time
+  iter
+    (fun ~time ~site kind ->
+      match kind with
+      | Enter_cs -> if site < n then open_at.(site) <- Some time
       | Exit_cs ->
-        if e.site < n then begin
-          (match open_at.(e.site) with
-          | Some start -> fill e.site start e.time '#'
+        if site < n then begin
+          (match open_at.(site) with
+          | Some start -> fill site start time '#'
           | None -> ());
-          open_at.(e.site) <- None
+          open_at.(site) <- None
         end
-      | Crash -> fill e.site e.time t_max 'X'
+      | Crash -> fill site time t_max 'X'
       | Send _ | Receive _ | Timer _ | Recover | Drop _ | Duplicate _
       | Partition _ | Suspect _ | Trust _ | Note _ | Request
       | Adopt_quorum _ | Acquire _ | Cede _ | Forward _ | Grant _ -> ())
-    es;
+    t;
   Array.iteri
     (fun site o ->
       match o with Some start -> fill site start t_max '#' | None -> ())

@@ -5,7 +5,13 @@
     debugging aid for protocol state machines and are also consumed by tests
     that assert ordering properties (e.g. "no reply is ever forwarded after
     the arbiter re-granted the lock"). Disabled collectors cost one branch
-    per record call. *)
+    per record call.
+
+    Storage is flat: an enabled collector keeps its entries column-wise in
+    three growable arrays (an unboxed [float] array of times, an [int]
+    array of sites and a {!kind} array), so recording an entry allocates
+    nothing beyond the kind itself. {!iter} walks the columns directly;
+    {!entries} materializes the list form on demand. *)
 
 type kind =
   | Send of { dst : int; msg : string }
@@ -43,13 +49,20 @@ type entry = { time : float; site : int; kind : kind }
 type t
 
 val create : ?enabled:bool -> ?capacity:int -> unit -> t
-(** [capacity] bounds memory: older entries are discarded once exceeded
-    (default 1_000_000). *)
+(** [capacity] bounds memory (default 1_000_000): the arrays start small
+    and double as they fill, up to [capacity + 1] slots. Recording entry
+    number [capacity + 1] discards all but the newest [capacity / 2]
+    entries, in order, and sets {!truncated}.
+    @raise Invalid_argument if [capacity] is negative. *)
 
 val enabled : t -> bool
 val record : t -> time:float -> site:int -> kind -> unit
+val iter : (time:float -> site:int -> kind -> unit) -> t -> unit
+(** Visit the stored entries in chronological order without building
+    {!entry} records. *)
+
 val entries : t -> entry list
-(** Chronological order. *)
+(** Chronological order; a fresh list on every call. *)
 
 val length : t -> int
 
@@ -59,6 +72,21 @@ val truncated : t -> bool
     {!Oracle}) must not draw conclusions from it. *)
 
 val clear : t -> unit
+(** Forget every entry and the {!truncated} flag; the collector keeps its
+    arrays and records afresh. *)
+
+(** Payload text for [Send]/[Receive] entries. *)
+module Render : sig
+  type t
+  (** A reusable buffer and formatter. Not shared between domains: each
+      engine run or service host owns its own. *)
+
+  val create : unit -> t
+
+  val text : t -> (Format.formatter -> 'a -> unit) -> 'a -> string
+  (** [text r pp x] is [Format.asprintf "%a" pp x], byte for byte. *)
+end
+
 val pp_entry : Format.formatter -> entry -> unit
 val dump : Format.formatter -> t -> unit
 

@@ -340,6 +340,48 @@ let test_scrape_hostile_clients () =
       Unix.sleepf 0.2;
       still_serves "the hung-up response was written")
 
+(* A client that connects and never sends a byte: the listener closes it
+   once its read timeout lapses, and a scrape meanwhile is unaffected. *)
+let test_scrape_silent_client_timed_out () =
+  let reg = Registry.create () in
+  Metric.Counter.incr (Registry.counter reg "scrape.silent");
+  let srv = Dmx_net.Scrape.start ~port:0 (fun () -> Registry.snapshot reg) in
+  Fun.protect
+    ~finally:(fun () -> Dmx_net.Scrape.stop srv)
+    (fun () ->
+      let port = Dmx_net.Scrape.port srv in
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+          let t0 = Unix.gettimeofday () in
+          (match Dmx_net.Scrape.http_get ~port "/metrics" with
+          | Ok (200, body) ->
+            Alcotest.(check string) "concurrent scrape"
+              (Export.prometheus (Registry.snapshot reg))
+              body
+          | Ok (code, _) -> Alcotest.failf "concurrent scrape: HTTP %d" code
+          | Error e -> Alcotest.failf "concurrent scrape: %s" e);
+          (* bounded wait of our own, so a regression fails instead of
+             hanging the suite *)
+          let limit = Dmx_net.Scrape.read_timeout +. 2.0 in
+          Unix.setsockopt_float fd SO_RCVTIMEO limit;
+          let closed =
+            match Unix.read fd (Bytes.create 16) 0 16 with
+            | 0 -> true
+            | _ -> false
+            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> false
+            | exception Unix.Unix_error (ECONNRESET, _, _) -> true
+          in
+          let waited = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "server closed the silent client (after %.2f s)"
+               waited)
+            true closed;
+          Alcotest.(check bool) "within the read timeout, plus slack" true
+            (waited < limit)))
+
 (* ---- sim-twin determinism: the snapshot is a function of the seed ---- *)
 
 let sim_metrics_export seed =
@@ -402,6 +444,8 @@ let suite =
         test_scrape_roundtrip;
       Alcotest.test_case "scrape survives hostile clients" `Quick
         test_scrape_hostile_clients;
+      Alcotest.test_case "scrape closes a silent client" `Quick
+        test_scrape_silent_client_timed_out;
       Alcotest.test_case "sim twin metrics bit-reproducible" `Quick
         test_sim_snapshot_deterministic;
     ]

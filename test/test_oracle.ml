@@ -27,18 +27,80 @@ let check_clean label v =
 
 (* ---- hand-crafted traces ---- *)
 
+(* The traces with an injected violation are named, so test_trace.ml can
+   replay them through a collector and [O.check_trace] ([injected] below
+   lists them with their oracle configs). *)
+
+let mutex_overlap =
+  [ e 1.0 0 T.Enter_cs; e 2.0 1 T.Enter_cs; e 3.0 0 T.Exit_cs; e 4.0 1 T.Exit_cs ]
+
+let quorum_missing =
+  [
+    e 0.0 2 (T.Adopt_quorum [ 0; 1 ]);
+    e 1.0 2 (T.Acquire { arbiter = 0 });
+    e 2.0 2 T.Enter_cs;
+  ]
+
+let custody_duplicated =
+  [ e 1.0 1 (T.Acquire { arbiter = 0 }); e 2.0 2 (T.Acquire { arbiter = 0 }) ]
+
+let forward_unheld = [ e 1.0 1 (T.Forward { arbiter = 0; to_ = 2 }) ]
+
+let grant_while_held =
+  [ e 1.0 1 (T.Acquire { arbiter = 0 }); e 2.0 0 (T.Grant { to_ = 2 }) ]
+
+let disjoint_quorums =
+  [ e 1.0 0 (T.Adopt_quorum [ 0; 1 ]); e 2.0 1 (T.Adopt_quorum [ 2; 3 ]) ]
+
+let fifo_reordered =
+  [
+    e 1.0 0 (T.Send { dst = 1; msg = "a" });
+    e 2.0 0 (T.Send { dst = 1; msg = "b" });
+    e 3.0 1 (T.Receive { src = 0; msg = "b" });
+    e 4.0 1 (T.Receive { src = 0; msg = "a" });
+  ]
+
+let fairness_cfg = { (O.default ~n:4) with O.max_overtake = Some 1 }
+
+let overtake_twice =
+  [
+    e 0.0 0 T.Request;
+    e 1.0 1 T.Request;
+    e 2.0 1 T.Enter_cs;
+    e 3.0 1 T.Exit_cs;
+    e 4.0 1 T.Request;
+    e 5.0 1 T.Enter_cs;
+    e 6.0 1 T.Exit_cs;
+  ]
+
+let bound_cfg = { (O.default ~n:4) with O.bound_per_cs = Some 1.0 }
+
+let over_bound =
+  [
+    e 0.0 0 (T.Send { dst = 1; msg = "a" });
+    e 0.5 0 (T.Send { dst = 2; msg = "b" });
+    e 1.0 0 T.Enter_cs;
+    e 2.0 0 T.Exit_cs;
+  ]
+
+let injected =
+  let d = O.default ~n:4 in
+  [
+    ("mutex", d, mutex_overlap);
+    ("quorum", d, quorum_missing);
+    ("custody: duplicated", d, custody_duplicated);
+    ("custody: forward unheld", d, forward_unheld);
+    ("custody: grant while held", d, grant_while_held);
+    ("coterie", d, disjoint_quorums);
+    ("fifo", d, fifo_reordered);
+    ("fairness", fairness_cfg, overtake_twice);
+    ("bound", bound_cfg, over_bound);
+  ]
+
 let test_empty_trace () = check_clean "empty" (verdict [])
 
 let test_mutex_violation () =
-  let v =
-    verdict
-      [
-        e 1.0 0 T.Enter_cs;
-        e 2.0 1 T.Enter_cs;
-        e 3.0 0 T.Exit_cs;
-        e 4.0 1 T.Exit_cs;
-      ]
-  in
+  let v = verdict mutex_overlap in
   Alcotest.(check bool) "flagged" true (has_violation "MUTEX" v);
   Alcotest.(check int) "exactly one" 1 (List.length v.O.violations)
 
@@ -59,14 +121,7 @@ let test_crash_ends_tenure () =
        [ e 1.0 0 T.Enter_cs; e 2.0 0 T.Crash; e 3.0 1 T.Enter_cs; e 4.0 1 T.Exit_cs ])
 
 let test_quorum_coverage () =
-  let missing =
-    verdict
-      [
-        e 0.0 2 (T.Adopt_quorum [ 0; 1 ]);
-        e 1.0 2 (T.Acquire { arbiter = 0 });
-        e 2.0 2 T.Enter_cs;
-      ]
-  in
+  let missing = verdict quorum_missing in
   Alcotest.(check bool) "entry without full quorum flagged" true
     (has_violation "QUORUM" missing);
   check_clean "entry with full quorum"
@@ -80,10 +135,7 @@ let test_quorum_coverage () =
        ])
 
 let test_custody_no_duplication () =
-  let v =
-    verdict
-      [ e 1.0 1 (T.Acquire { arbiter = 0 }); e 2.0 2 (T.Acquire { arbiter = 0 }) ]
-  in
+  let v = verdict custody_duplicated in
   Alcotest.(check bool) "second acquisition flagged" true
     (has_violation "CUSTODY" v);
   check_clean "cede before re-acquire"
@@ -103,15 +155,12 @@ let test_custody_transfer_chain () =
          e 2.0 1 (T.Forward { arbiter = 0; to_ = 2 });
          e 3.0 2 (T.Acquire { arbiter = 0 });
        ]);
-  let v = verdict [ e 1.0 1 (T.Forward { arbiter = 0; to_ = 2 }) ] in
+  let v = verdict forward_unheld in
   Alcotest.(check bool) "forwarding without possession flagged" true
     (has_violation "CUSTODY" v)
 
 let test_custody_grant_while_held () =
-  let v =
-    verdict
-      [ e 1.0 1 (T.Acquire { arbiter = 0 }); e 2.0 0 (T.Grant { to_ = 2 }) ]
-  in
+  let v = verdict grant_while_held in
   Alcotest.(check bool) "double grant flagged" true (has_violation "CUSTODY" v);
   check_clean "grant after cede"
     (verdict
@@ -132,10 +181,7 @@ let test_crash_voids_custody () =
        ])
 
 let test_coterie_intersection () =
-  let v =
-    verdict
-      [ e 1.0 0 (T.Adopt_quorum [ 0; 1 ]); e 2.0 1 (T.Adopt_quorum [ 2; 3 ]) ]
-  in
+  let v = verdict disjoint_quorums in
   Alcotest.(check bool) "disjoint quorums flagged" true
     (has_violation "COTERIE" v);
   check_clean "intersecting quorums"
@@ -143,17 +189,7 @@ let test_coterie_intersection () =
        [ e 1.0 0 (T.Adopt_quorum [ 0; 1 ]); e 2.0 1 (T.Adopt_quorum [ 1; 3 ]) ])
 
 let test_fifo_order () =
-  let cfg = O.default ~n:4 in
-  let v =
-    O.check cfg
-      [
-        e 1.0 0 (T.Send { dst = 1; msg = "a" });
-        e 2.0 0 (T.Send { dst = 1; msg = "b" });
-        e 3.0 1 (T.Receive { src = 0; msg = "b" });
-        e 4.0 1 (T.Receive { src = 0; msg = "a" });
-      ]
-      ~truncated:false
-  in
+  let v = verdict fifo_reordered in
   Alcotest.(check bool) "reordered channel flagged" true (has_violation "FIFO" v);
   check_clean "in-order channel"
     (verdict
@@ -182,18 +218,7 @@ let test_fifo_tolerates_faults () =
        ])
 
 let test_fairness_bound () =
-  let cfg = { (O.default ~n:4) with O.max_overtake = Some 1 } in
-  let overtake_twice =
-    [
-      e 0.0 0 T.Request;
-      e 1.0 1 T.Request;
-      e 2.0 1 T.Enter_cs;
-      e 3.0 1 T.Exit_cs;
-      e 4.0 1 T.Request;
-      e 5.0 1 T.Enter_cs;
-      e 6.0 1 T.Exit_cs;
-    ]
-  in
+  let cfg = fairness_cfg in
   let v = O.check cfg overtake_twice ~truncated:false in
   Alcotest.(check bool) "second overtake exceeds bound 1" true
     (has_violation "FAIRNESS" v);
@@ -213,17 +238,7 @@ let test_fairness_bound () =
   check_clean "single overtake within bound" v1
 
 let test_message_bound () =
-  let cfg = { (O.default ~n:4) with O.bound_per_cs = Some 1.0 } in
-  let v =
-    O.check cfg
-      [
-        e 0.0 0 (T.Send { dst = 1; msg = "a" });
-        e 0.5 0 (T.Send { dst = 2; msg = "b" });
-        e 1.0 0 T.Enter_cs;
-        e 2.0 0 T.Exit_cs;
-      ]
-      ~truncated:false
-  in
+  let v = O.check bound_cfg over_bound ~truncated:false in
   Alcotest.(check bool) "2 messages for 1 CS exceeds bound 1" true
     (has_violation "BOUND" v)
 

@@ -1,6 +1,14 @@
-(* Trace collector: enable flag, order, capacity trimming. *)
+(* Trace collector: enable flag, order, capacity trimming, the flat
+   storage's iterator and reuse, and the oracle reading the collector
+   directly. *)
 
 module Trace = Dmx_sim.Trace
+module O = Dmx_sim.Oracle
+
+let record_all t entries =
+  List.iter
+    (fun (e : Trace.entry) -> Trace.record t ~time:e.time ~site:e.site e.kind)
+    entries
 
 let test_disabled_records_nothing () =
   let t = Trace.create () in
@@ -27,6 +35,112 @@ let test_capacity_trims_oldest () =
   let times = List.map (fun e -> e.Trace.time) (Trace.entries t) in
   Alcotest.(check bool) "kept the newest" true (List.mem 11.0 times);
   Alcotest.(check bool) "dropped the oldest" false (List.mem 1.0 times)
+
+let test_trim_keeps_newest_half () =
+  (* odd and even capacities, trimmed once and several times over *)
+  List.iter
+    (fun (capacity, records) ->
+      let t = Trace.create ~enabled:true ~capacity () in
+      for i = 1 to records do
+        Trace.record t ~time:(float_of_int i) ~site:(i mod 7)
+          (Trace.Note (string_of_int i))
+      done;
+      (* every trim keeps capacity/2 entries; later records refill up to
+         capacity, and the next one past it trims again *)
+      let rec expect len i =
+        if i > records then len
+        else if len + 1 > capacity then expect (capacity / 2) (i + 1)
+        else expect (len + 1) (i + 1)
+      in
+      let len = expect 0 1 in
+      let label = Printf.sprintf "capacity %d, %d records" capacity records in
+      Alcotest.(check int) (label ^ ": length") len (Trace.length t);
+      let newest = List.init len (fun k -> records - len + 1 + k) in
+      Alcotest.(check (list (triple (float 0.0) int string)))
+        (label ^ ": exactly the newest, in order")
+        (List.map
+           (fun i -> (float_of_int i, i mod 7, string_of_int i))
+           newest)
+        (List.map
+           (fun (e : Trace.entry) ->
+             ( e.time,
+               e.site,
+               match e.kind with Trace.Note s -> s | _ -> "?" ))
+           (Trace.entries t)))
+    [ (10, 11); (10, 17); (9, 10); (9, 40); (1, 5); (1000, 5000) ]
+
+let test_iter_agrees_with_entries () =
+  let t = Trace.create ~enabled:true ~capacity:50 () in
+  for i = 1 to 123 do
+    Trace.record t ~time:(float_of_int i *. 0.5) ~site:(i mod 5)
+      (if i mod 3 = 0 then Trace.Send { dst = i mod 4; msg = string_of_int i }
+       else Trace.Timer i)
+  done;
+  let via_iter = ref [] in
+  Trace.iter
+    (fun ~time ~site kind -> via_iter := { Trace.time; site; kind } :: !via_iter)
+    t;
+  Alcotest.(check bool) "same entries, same order" true
+    (List.rev !via_iter = Trace.entries t);
+  Alcotest.(check int) "length" (Trace.length t) (List.length !via_iter)
+
+let test_reuse_after_clear () =
+  let t = Trace.create ~enabled:true ~capacity:8 () in
+  for i = 1 to 20 do
+    Trace.record t ~time:(float_of_int i) ~site:0 Trace.Crash
+  done;
+  Trace.clear t;
+  Alcotest.(check (list string)) "empty after clear" []
+    (List.map (fun _ -> "?") (Trace.entries t));
+  for i = 1 to 5 do
+    Trace.record t ~time:(float_of_int (100 + i)) ~site:i Trace.Recover
+  done;
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "records afresh"
+    (List.init 5 (fun k -> (float_of_int (101 + k), k + 1)))
+    (List.map (fun (e : Trace.entry) -> (e.time, e.site)) (Trace.entries t));
+  Alcotest.(check bool) "complete again" false (Trace.truncated t)
+
+(* [O.check_trace] walks the collector's arrays; it must reach the verdict
+   [O.check] reaches on the same entries as a list. *)
+let test_check_trace_agrees_injected () =
+  List.iter
+    (fun (label, cfg, entries) ->
+      let t = Trace.create ~enabled:true () in
+      record_all t entries;
+      let v = O.check_trace cfg t in
+      Alcotest.(check bool) (label ^ ": rejected") false (O.ok v);
+      Alcotest.(check bool)
+        (label ^ ": same verdict as the list form")
+        true
+        (v = O.check cfg (Trace.entries t) ~truncated:false
+        && v = O.check cfg entries ~truncated:false))
+    Test_oracle.injected
+
+let test_check_trace_agrees_clean_run () =
+  let s =
+    {
+      (Dmx_sim.Schedule.default ~algo:"ft-delay-optimal" ~n:9) with
+      Dmx_sim.Schedule.quorum = "grid";
+      seed = 5;
+      execs = 60;
+      delay = Dmx_sim.Network.Exponential { mean = 1.0 };
+      faults = { Dmx_sim.Network.no_faults with Dmx_sim.Network.loss = 0.05 };
+      reliability = true;
+    }
+  in
+  match Dmx_baselines.Runner.run_schedule s with
+  | Error e -> Alcotest.fail e
+  | Ok (_, t) ->
+    let cfg = O.default ~n:9 in
+    let v = O.check_trace cfg t in
+    Alcotest.(check bool) "clean" true (O.ok v);
+    Alcotest.(check bool) "a real run" true
+      (v.O.cs_entries >= 60 && v.O.messages > 0);
+    Alcotest.(check int) "every entry checked" (Trace.length t)
+      v.O.entries_checked;
+    Alcotest.(check bool) "same verdict as the list form" true
+      (v = O.check cfg (Trace.entries t) ~truncated:false)
 
 let test_clear () =
   let t = Trace.create ~enabled:true () in
@@ -87,6 +201,13 @@ let suite =
       ("disabled records nothing", test_disabled_records_nothing);
       ("chronological entries", test_chronological_entries);
       ("capacity trims oldest", test_capacity_trims_oldest);
+      ("trim keeps exactly the newest half", test_trim_keeps_newest_half);
+      ("iter agrees with entries", test_iter_agrees_with_entries);
+      ("reuse after clear", test_reuse_after_clear);
+      ("check_trace = check: injected violations",
+       test_check_trace_agrees_injected);
+      ("check_trace = check: clean checked run",
+       test_check_trace_agrees_clean_run);
       ("clear", test_clear);
       ("truncated flag", test_truncated_flag);
       ("entry pretty-printer", test_pp_entry);
