@@ -11,7 +11,7 @@
    figures are comparable run over run. *)
 
 module Cluster = Dmx_service.Cluster
-module Chaos = Dmx_net.Chaos
+module Net = Dmx_sim.Network
 module E = Dmx_sim.Engine
 
 let run () =
@@ -24,7 +24,7 @@ let run () =
       (Cluster.default ~n) with
       Cluster.protocol = "ft-delay-optimal";
       transport = "udp";
-      chaos = { Chaos.no_faults with Chaos.loss; duplication = 0.05 };
+      chaos = { Net.no_faults with Net.loss; duplication = 0.05 };
       rounds;
       seed = 7;
       timeout = 180.0;

@@ -266,7 +266,9 @@ let partition_arg =
         ~doc:
           "Partition the network between FROM and UNTIL into groups (sites \
            comma-separated, groups |-separated; unlisted sites form one \
-           extra group). Repeatable.")
+           extra group; UNTIL may be inf). Times are simulated time, or \
+           seconds after the workload starts on a live cluster. \
+           Repeatable.")
 
 let spike_conv =
   let parse s =
@@ -275,9 +277,9 @@ let spike_conv =
       match
         (float_of_string_opt f, float_of_string_opt u, float_of_string_opt k)
       with
-      | Some from_t, Some until, Some factor -> Ok (from_t, until, factor)
-      | _ -> Error (`Msg "bad spike (expected FROM:UNTIL:FACTOR)"))
-    | _ -> Error (`Msg "bad spike (expected FROM:UNTIL:FACTOR)")
+      | Some from_t, Some until, Some extra -> Ok (from_t, until, extra)
+      | _ -> Error (`Msg "bad spike (expected FROM:UNTIL:EXTRA)"))
+    | _ -> Error (`Msg "bad spike (expected FROM:UNTIL:EXTRA)")
   in
   let pp ppf (f, u, k) = Format.fprintf ppf "%g:%g:%g" f u k in
   Arg.conv (parse, pp)
@@ -285,15 +287,13 @@ let spike_conv =
 let spike_arg =
   Arg.(
     value & opt_all spike_conv []
-    & info [ "spike" ] ~docv:"FROM:UNTIL:FACTOR"
-        ~doc:"Multiply message delays by FACTOR between FROM and UNTIL. \
-              Repeatable.")
+    & info [ "spike" ] ~docv:"FROM:UNTIL:EXTRA"
+        ~doc:
+          "Add EXTRA seconds to the delay of every message sent between \
+           FROM and UNTIL (times as for $(b,--partition)). Repeatable.")
 
 let csv_arg =
   Arg.(value & flag & info [ "csv" ] ~doc:"Print a CSV record instead of text.")
-
-let faults_of loss dup partitions spikes =
-  { Net.loss; duplication = dup; partitions; delay_spikes = spikes }
 
 let make_cfg ?(faults = Net.no_faults) ?(det = `Oracle) n seed execs warmup cs
     delay workload crashes detect =
@@ -397,7 +397,15 @@ let run_cmd =
   let action algo kind n seed execs warmup cs delay workload crashes detect det
       loss dup partitions spikes csv check lazy_coteries =
     if check then Atomic.set R.always_check true;
-    let faults = faults_of loss dup partitions spikes in
+    let faults =
+      {
+        Net.no_faults with
+        Net.loss;
+        duplication = dup;
+        partitions;
+        delay_spikes = spikes;
+      }
+    in
     let finish (r : E.report) variant =
       if csv then begin
         print_endline csv_header;
@@ -1074,59 +1082,6 @@ let rto_arg =
     & info [ "rto" ] ~docv:"SECONDS"
         ~doc:"Reliability-layer base retransmission timeout.")
 
-(* chaos partition windows: GROUPS@FROM-UNTIL, e.g. "0,1|2,3,4@1s-2s"
-   (times are seconds after the workload starts; trailing s optional) *)
-let cluster_partition_conv =
-  let strip_s t =
-    if String.length t > 0 && t.[String.length t - 1] = 's' then
-      String.sub t 0 (String.length t - 1)
-    else t
-  in
-  let parse s =
-    let fail () =
-      Error
-        (`Msg
-           (Printf.sprintf
-              "bad partition %S (expected GROUPS@FROM-UNTIL, e.g. \
-               0,1|2,3,4@1s-2s)" s))
-    in
-    match String.split_on_char '@' s with
-    | [ groups_s; window ] -> (
-      match String.split_on_char '-' window with
-      | [ from_s; until_s ] -> (
-        match
-          ( float_of_string_opt (strip_s from_s),
-            float_of_string_opt (strip_s until_s) )
-        with
-        | Some from_t, Some until -> (
-          try
-            let groups =
-              List.map
-                (fun g ->
-                  List.map
-                    (fun x ->
-                      match int_of_string_opt (String.trim x) with
-                      | Some v -> v
-                      | None -> raise Exit)
-                    (String.split_on_char ',' g))
-                (String.split_on_char '|' groups_s)
-            in
-            Ok { Dmx_net.Chaos.from_t; until; groups }
-          with Exit -> fail ())
-        | _ -> fail ())
-      | _ -> fail ())
-    | _ -> fail ()
-  in
-  let pp ppf (p : Dmx_net.Chaos.partition) =
-    Format.fprintf ppf "%s@%gs-%gs"
-      (String.concat "|"
-         (List.map
-            (fun g -> String.concat "," (List.map string_of_int g))
-            p.Dmx_net.Chaos.groups))
-      p.Dmx_net.Chaos.from_t p.Dmx_net.Chaos.until
-  in
-  Arg.conv (parse, pp)
-
 let cluster_cmd =
   let cn_arg =
     Arg.(
@@ -1148,25 +1103,6 @@ let cluster_cmd =
           ~doc:
             "Per-frame probability of a bounded holdback (chaos shim), in \
              [0,1).")
-  in
-  let cpartition_arg =
-    Arg.(
-      value & opt_all cluster_partition_conv []
-      & info [ "partition" ] ~docv:"GROUPS@FROM-UNTIL"
-          ~doc:
-            "Partition the cluster into groups for a window of seconds \
-             after the workload starts, e.g. \
-             $(b,--partition 0,1|2,3,4\\@1s-2s) (sites comma-separated, \
-             groups |-separated; unlisted sites form one extra group). \
-             Repeatable.")
-  in
-  let cspike_arg =
-    Arg.(
-      value & opt_all spike_conv []
-      & info [ "spike" ] ~docv:"FROM:UNTIL:EXTRA"
-          ~doc:
-            "Hold every frame sent between FROM and UNTIL (seconds after \
-             workload start) for EXTRA extra seconds. Repeatable.")
   in
   let rounds_arg =
     Arg.(
@@ -1228,8 +1164,8 @@ let cluster_cmd =
       metrics_base_port csv =
     let chaos =
       {
-        Dmx_net.Chaos.no_faults with
-        Dmx_net.Chaos.loss;
+        Net.no_faults with
+        Net.loss;
         duplication = dup;
         reorder;
         partitions;
@@ -1289,7 +1225,7 @@ let cluster_cmd =
       const action $ cn_arg $ proto_arg $ quorum_arg $ rounds_arg $ ccs_arg
       $ seed_arg $ kill_arg $ restart_arg $ log_dir_arg $ trace_out_arg
       $ timeout_arg $ hb_arg $ hbto_arg $ rto_arg $ transport_arg $ loss_arg
-      $ dup_arg $ reorder_arg $ cpartition_arg $ cspike_arg $ metrics_arg
+      $ dup_arg $ reorder_arg $ partition_arg $ spike_arg $ metrics_arg
       $ csv_arg)
   in
   Cmd.v
@@ -1483,6 +1419,17 @@ let swarm_cmd =
       else Format.printf "%a@." Dmx_service.Swarm.pp_outcome o;
       exit (if Dmx_service.Swarm.ok o then 0 else 2)
     in
+    (if sim then
+       match
+         List.find_opt
+           (fun (_, p) -> p <> 0.0)
+           [ ("--loss", loss); ("--dup", dup); ("--reorder", reorder) ]
+       with
+       | Some (flag, _) ->
+         Printf.eprintf
+           "swarm --sim injects no faults; %s applies to live runs only\n" flag;
+         exit 1
+       | None -> ());
     let result =
       if sim then
         Dmx_service.Sim_swarm.run_named
@@ -1531,13 +1478,7 @@ let swarm_cmd =
             hb_timeout = hbto;
             rto;
             transport;
-            chaos =
-              {
-                Dmx_net.Chaos.no_faults with
-                Dmx_net.Chaos.loss;
-                duplication = dup;
-                reorder;
-              };
+            chaos = { Net.no_faults with Net.loss; duplication = dup; reorder };
             hello_timeout = 10.0;
             ports = None;
             metrics_base_port;

@@ -1,81 +1,27 @@
 (* Deterministic seeded fault shim over any transport handle.
 
-   Mirrors [Dmx_sim.Network]'s fault model — per-link loss, duplication,
-   reorder (bounded holdback), delay-spike windows, partition schedules —
-   but against real processes. The one divergence: the sim multiplies a
-   sampled delay by a spike factor; a real transport has no sampled delay
-   to scale, so a spike here holds frames for [extra] wall-clock seconds.
+   Applies [Dmx_sim.Network]'s fault plan to real frames: the plan, its
+   validation, the per-frame decision and the partition and spike windows
+   all live there. This module keeps only the mechanics: per-link frame
+   counters, the holdback of reordered frames, frames delayed by a spike,
+   and the counters.
 
-   Determinism: the fate of the k-th frame on directed link (src, dst) is
-   a pure splitmix64 hash of (seed, salt, src, dst, k) — independent of
-   wall-clock time and frame content — so two runs with the same seed
-   make identical loss/duplication/reorder decisions even though real
-   scheduling differs. Partition and spike windows are wall-clock
-   intervals anchored at the cluster-wide workload epoch ([set_zero],
-   distributed in the Workload frame), the closest a live run gets.
+   Determinism: the uniforms behind the fate of the k-th frame on directed
+   link (src, dst) are a pure splitmix64 hash of (seed, salt, src, dst, k)
+   — independent of wall-clock time and frame content — so two runs with
+   the same seed make identical loss/duplication/reorder decisions even
+   though real scheduling differs. Partition and spike windows are
+   wall-clock intervals anchored at the cluster-wide workload epoch
+   ([set_zero], distributed in the Workload frame), the closest a live run
+   gets.
 
    Links touching the supervisor (either endpoint >= n) are exempt:
    chaos is for the protocol, not for the control plane that collects
    the evidence. *)
 
-type partition = { from_t : float; until : float; groups : int list list }
+module Net = Dmx_sim.Network
 
-type plan = {
-  seed : int;
-  n : int;
-  loss : float;
-  duplication : float;
-  reorder : float;
-  reorder_hold : int;
-  delay_spikes : (float * float * float) list;
-  partitions : partition list;
-}
-
-let no_faults =
-  {
-    seed = 0;
-    n = 0;
-    loss = 0.0;
-    duplication = 0.0;
-    reorder = 0.0;
-    reorder_hold = 3;
-    delay_spikes = [];
-    partitions = [];
-  }
-
-let is_trivial p =
-  p.loss = 0.0 && p.duplication = 0.0 && p.reorder = 0.0
-  && p.delay_spikes = [] && p.partitions = []
-
-let validate p =
-  let prob what v =
-    if not (v >= 0.0 && v < 1.0) then
-      invalid_arg (Printf.sprintf "chaos: %s %g outside [0, 1)" what v)
-  in
-  prob "loss" p.loss;
-  prob "duplication" p.duplication;
-  prob "reorder" p.reorder;
-  if p.reorder_hold < 1 then invalid_arg "chaos: reorder_hold < 1";
-  List.iter
-    (fun (f, u, extra) ->
-      if u <= f then invalid_arg "chaos: empty delay-spike window";
-      if extra <= 0.0 then invalid_arg "chaos: non-positive spike delay")
-    p.delay_spikes;
-  List.iter
-    (fun { from_t; until; groups } ->
-      if until <= from_t then invalid_arg "chaos: empty partition window";
-      let seen = Hashtbl.create 8 in
-      List.iter
-        (List.iter (fun s ->
-             if s < 0 || (p.n > 0 && s >= p.n) then
-               invalid_arg (Printf.sprintf "chaos: partition site %d out of range" s);
-             if Hashtbl.mem seen s then
-               invalid_arg (Printf.sprintf "chaos: site %d in two partition groups" s);
-             Hashtbl.replace seen s ()))
-        groups)
-    p.partitions
-
-(* ---- pure per-frame fault decisions ---- *)
+(* ---- pure per-frame uniforms ---- *)
 
 let mix64 z =
   let open Int64 in
@@ -90,42 +36,15 @@ let fold h v =
 let uniform h =
   Int64.to_float (Int64.logand h 0x1F_FFFF_FFFF_FFFFL) /. 9007199254740992.0
 
-let draw plan ~salt ~src ~dst k =
-  let h = mix64 (Int64.of_int (plan.seed + 0x5851f42d)) in
+let draw ~seed ~src ~dst k salt =
+  let h = mix64 (Int64.of_int (seed + 0x5851f42d)) in
   let h = fold h salt in
   let h = fold h src in
   let h = fold h dst in
   let h = fold h k in
   uniform h
 
-type decision = { lose : bool; duplicate : bool; reorder : bool }
-
-let decision plan ~src ~dst k =
-  {
-    lose = draw plan ~salt:1 ~src ~dst k < plan.loss;
-    duplicate = draw plan ~salt:2 ~src ~dst k < plan.duplication;
-    reorder = draw plan ~salt:3 ~src ~dst k < plan.reorder;
-  }
-
-(* ---- time windows ---- *)
-
-let group_of groups site =
-  let rec go i = function
-    | [] -> 0 (* implicit rest-group *)
-    | g :: rest -> if List.mem site g then i else go (i + 1) rest
-  in
-  go 1 groups
-
-let partitioned plan ~at ~src ~dst =
-  List.exists
-    (fun { from_t; until; groups } ->
-      at >= from_t && at < until && group_of groups src <> group_of groups dst)
-    plan.partitions
-
-let spike_extra plan ~at =
-  List.fold_left
-    (fun acc (f, u, extra) -> if at >= f && at < u then acc +. extra else acc)
-    0.0 plan.delay_spikes
+let decision plan ~seed ~src ~dst k = Net.decide plan (draw ~seed ~src ~dst k)
 
 (* ---- the shim ---- *)
 
@@ -137,7 +56,9 @@ type held = {
 }
 
 type t = {
-  plan : plan;
+  plan : Net.fault_plan;
+  seed : int;
+  n : int;
   self : int;
   peers : int list;
   inner : Transport_sig.handle;
@@ -153,10 +74,12 @@ type t = {
   dropped_partition : int Atomic.t;
 }
 
-let create plan ~self ~peers ~inner =
-  validate plan;
+let create plan ~seed ~n ~self ~peers ~inner =
+  Net.validate ~n plan;
   {
     plan;
+    seed;
+    n;
     self;
     peers;
     inner;
@@ -181,7 +104,7 @@ let set_zero t epoch =
    known *)
 let rel_now t now = match t.zero with Some z -> now -. z | None -> -1.0
 
-let exempt t dst = t.plan.n > 0 && (dst >= t.plan.n || t.self >= t.plan.n)
+let exempt t dst = dst >= t.n || t.self >= t.n
 
 (* Flush every delayed frame that is due and every held frame whose link
    counter or deadline has passed. Called under [t.lock]. *)
@@ -207,13 +130,13 @@ let send_one_locked t now dst frame =
     let k = try Hashtbl.find t.counters dst with Not_found -> 0 in
     Hashtbl.replace t.counters dst (k + 1);
     let at = rel_now t now in
-    if partitioned t.plan ~at ~src:t.self ~dst then
+    if Net.partitioned t.plan ~src:t.self ~dst ~at then
       Atomic.incr t.dropped_partition
     else begin
-      let d = decision t.plan ~src:t.self ~dst k in
+      let d = decision t.plan ~seed:t.seed ~src:t.self ~dst k in
       if d.lose then Atomic.incr t.lost
       else begin
-        let extra = spike_extra t.plan ~at in
+        let extra = Net.spike_extra t.plan ~at in
         let emit f =
           if extra > 0.0 then begin
             Atomic.incr t.delayed_n;
@@ -293,91 +216,3 @@ let handle t =
     stats = (fun () -> t.inner.stats ());
     close = (fun () -> t.inner.close ());
   }
-
-(* ---- compact plan (de)serialization ----
-
-   Travels inside the single-line DMX_SERVICE_SPEC environment trampoline,
-   so: no spaces, no '='. Fields are ';'-separated; floats are hex
-   (lossless); window bounds use '~' because hex floats contain '-'.
-
-     loss:0x1.9...p-3;dup:0x1p-5;reorder:0;hold:3;seed:42;n:5;
-     spike:0x1p-1~0x1.8p0~0x1p-2;part:0,1|2,3,4@0x1p0~0x1p1 *)
-
-let plan_to_string p =
-  let b = Buffer.create 64 in
-  let sep () = if Buffer.length b > 0 then Buffer.add_char b ';' in
-  let f fmt = Printf.ksprintf (fun s -> sep (); Buffer.add_string b s) fmt in
-  f "seed:%d" p.seed;
-  f "n:%d" p.n;
-  f "hold:%d" p.reorder_hold;
-  if p.loss > 0.0 then f "loss:%h" p.loss;
-  if p.duplication > 0.0 then f "dup:%h" p.duplication;
-  if p.reorder > 0.0 then f "reorder:%h" p.reorder;
-  List.iter (fun (fr, u, e) -> f "spike:%h~%h~%h" fr u e) p.delay_spikes;
-  List.iter
-    (fun { from_t; until; groups } ->
-      f "part:%s@%h~%h"
-        (String.concat "|"
-           (List.map
-              (fun g -> String.concat "," (List.map string_of_int g))
-              groups))
-        from_t until)
-    p.partitions;
-  Buffer.contents b
-
-let plan_of_string s =
-  let fail what = invalid_arg (Printf.sprintf "chaos plan: bad %s" what) in
-  let float_of x =
-    match float_of_string_opt x with Some v -> v | None -> fail "float"
-  in
-  let int_of x =
-    match int_of_string_opt x with Some v -> v | None -> fail "int"
-  in
-  let fields =
-    String.split_on_char ';' s |> List.filter (fun x -> x <> "")
-  in
-  List.fold_left
-    (fun p field ->
-      match String.index_opt field ':' with
-      | None -> fail "field"
-      | Some i ->
-        let key = String.sub field 0 i in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        (match key with
-        | "seed" -> { p with seed = int_of v }
-        | "n" -> { p with n = int_of v }
-        | "hold" -> { p with reorder_hold = int_of v }
-        | "loss" -> { p with loss = float_of v }
-        | "dup" -> { p with duplication = float_of v }
-        | "reorder" -> { p with reorder = float_of v }
-        | "spike" -> (
-          match String.split_on_char '~' v with
-          | [ f; u; e ] ->
-            {
-              p with
-              delay_spikes =
-                p.delay_spikes @ [ (float_of f, float_of u, float_of e) ];
-            }
-          | _ -> fail "spike")
-        | "part" -> (
-          match String.index_opt v '@' with
-          | None -> fail "partition"
-          | Some j ->
-            let gs = String.sub v 0 j in
-            let window = String.sub v (j + 1) (String.length v - j - 1) in
-            let from_t, until =
-              match String.split_on_char '~' window with
-              | [ f; u ] -> (float_of f, float_of u)
-              | _ -> fail "partition window"
-            in
-            let groups =
-              String.split_on_char '|' gs
-              |> List.filter (fun g -> g <> "")
-              |> List.map (fun g ->
-                     String.split_on_char ',' g
-                     |> List.filter (fun x -> x <> "")
-                     |> List.map int_of)
-            in
-            { p with partitions = p.partitions @ [ { from_t; until; groups } ] })
-        | _ -> fail ("key " ^ key)))
-    no_faults fields

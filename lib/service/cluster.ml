@@ -11,7 +11,7 @@ module Trace = Dmx_sim.Trace
 module Oracle = Dmx_sim.Oracle
 module Summary = Dmx_sim.Stats.Summary
 module B = Dmx_quorum.Builder
-module Chaos = Dmx_net.Chaos
+module Net = Dmx_sim.Network
 
 type config = {
   n : int;
@@ -28,7 +28,7 @@ type config = {
   hb_timeout : float;
   rto : float;
   transport : string;
-  chaos : Chaos.plan;
+  chaos : Net.fault_plan;
   hello_timeout : float;
   ports : int list option;
   metrics_base_port : int;
@@ -50,7 +50,7 @@ let default ~n =
     hb_timeout = 1.0;
     rto = 0.25;
     transport = "tcp";
-    chaos = Chaos.no_faults;
+    chaos = Net.no_faults;
     hello_timeout = 10.0;
     ports = None;
     metrics_base_port = 0;

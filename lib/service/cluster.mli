@@ -43,10 +43,10 @@ type config = {
   hb_timeout : float;
   rto : float;  (** nodes' reliability-layer base timeout *)
   transport : string;  (** a {!Dmx_net.Transports.create} name *)
-  chaos : Dmx_net.Chaos.plan;
-      (** fault plan injected at every node ({!Dmx_net.Chaos.no_faults}
-          runs bare); [n] is filled in from the config, and a zero [seed]
-          inherits [config.seed]. Windows count from the workload start. *)
+  chaos : Dmx_sim.Network.fault_plan;
+      (** fault plan injected at every node by the {!Dmx_net.Chaos} shim
+          ({!Dmx_sim.Network.no_faults} runs bare), seeded by [seed].
+          Windows count from the workload start. *)
   hello_timeout : float;
       (** seconds allowed for {e all} nodes to say hello; a node that
           cannot bind its port or dies on startup fails the run by name

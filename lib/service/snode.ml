@@ -9,6 +9,7 @@ module Wire = Dmx_net.Wire
 module Transport_sig = Dmx_net.Transport_sig
 module Transports = Dmx_net.Transports
 module Chaos = Dmx_net.Chaos
+module Net = Dmx_sim.Network
 
 type spec = {
   site : int;
@@ -27,11 +28,25 @@ type spec = {
   rto : float;
   max_seconds : float;
   transport : string;
-  chaos : Chaos.plan;
+  chaos : Net.fault_plan;
   metrics_port : int;  (* 0 = no scrape listener *)
 }
 
 let env_var = "DMX_SERVICE_SPEC"
+
+(* The chaos plan rides as its .dmxrepro fault lines, escaped to one
+   token: the fields here are space-separated, and the lines contain
+   neither '~' nor ';'. *)
+let chaos_token plan =
+  String.concat ";" (Net.fault_lines plan)
+  |> String.map (function ' ' -> '~' | c -> c)
+
+let chaos_of_token ~n tok =
+  String.split_on_char ';' tok
+  |> List.filter (( <> ) "")
+  |> List.map (String.map (function '~' -> ' ' | c -> c))
+  |> Net.faults_of_lines ~n
+  |> Result.fold ~ok:Fun.id ~error:failwith
 
 let spec_to_string s =
   Printf.sprintf
@@ -43,7 +58,7 @@ let spec_to_string s =
        (Array.to_list (Array.map string_of_int s.node_ports)))
     s.supervisor_port s.protocol s.quorum s.shards s.lease s.max_batch s.seed
     s.epoch s.hb_period s.hb_timeout s.rto s.max_seconds s.transport
-    (Chaos.plan_to_string s.chaos)
+    (chaos_token s.chaos)
     s.metrics_port
 
 let spec_of_string str =
@@ -85,7 +100,7 @@ let spec_of_string str =
         rto = getf "rto";
         max_seconds = getf "max";
         transport = get "trans";
-        chaos = Chaos.plan_of_string (get "chaos");
+        chaos = chaos_of_token ~n:(geti "n") (get "chaos");
         metrics_port =
           (match List.assoc_opt "mport" kv with
           | Some p -> int_of_string p
@@ -141,10 +156,10 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         }
     in
     let shim =
-      if Chaos.is_trivial spec.chaos then None
+      if Net.is_trivial spec.chaos then None
       else
         Some
-          (Chaos.create spec.chaos ~self:spec.site
+          (Chaos.create spec.chaos ~seed:spec.seed ~n:spec.n ~self:spec.site
              ~peers:(List.map fst peer_list) ~inner:raw)
     in
     let transport =

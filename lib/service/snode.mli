@@ -33,7 +33,8 @@ type spec = {
   rto : float;  (** reliability-layer base retransmission timeout *)
   max_seconds : float;  (** failsafe wall-clock limit *)
   transport : string;  (** a {!Dmx_net.Transports.create} name *)
-  chaos : Dmx_net.Chaos.plan;
+  chaos : Dmx_sim.Network.fault_plan;
+      (** the {!Dmx_net.Chaos} shim's plan, seeded by [seed] *)
   metrics_port : int;
       (** serve the daemon's metrics registry over HTTP
           ({!Dmx_net.Scrape}) on this loopback port; [0] disables *)

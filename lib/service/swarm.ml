@@ -19,7 +19,7 @@ module B = Dmx_quorum.Builder
 module Wire = Dmx_net.Wire
 module Transport_sig = Dmx_net.Transport_sig
 module Transports = Dmx_net.Transports
-module Chaos = Dmx_net.Chaos
+module Net = Dmx_sim.Network
 module Spawn = Dmx_net.Spawn
 
 type config = {
@@ -44,7 +44,7 @@ type config = {
   hb_timeout : float;
   rto : float;
   transport : string;
-  chaos : Chaos.plan;
+  chaos : Net.fault_plan;
   hello_timeout : float;
   ports : int list option;  (* n node ports then the driver's *)
   metrics_base_port : int;  (* daemon [site] scrapes on base + site; 0 = off *)
@@ -73,7 +73,7 @@ let default ~n =
     hb_timeout = 1.0;
     rto = 0.25;
     transport = "tcp";
-    chaos = Chaos.no_faults;
+    chaos = Net.no_faults;
     hello_timeout = 10.0;
     ports = None;
     metrics_base_port = 0;
@@ -136,7 +136,7 @@ let check (cfg : config) =
       | None -> false
     then Error "ports list must have n+1 entries (nodes + driver)"
     else
-      match Chaos.validate { cfg.chaos with Chaos.n = cfg.n } with
+      match Net.validate ~n:cfg.n cfg.chaos with
       | () -> Ok ()
       | exception Invalid_argument e -> Error e
 
@@ -215,13 +215,6 @@ let supervise (cfg : config) =
     in
     let sup_port = List.nth ports cfg.n in
     let node_ports = Array.of_list (List.filteri (fun i _ -> i < cfg.n) ports) in
-    let plan =
-      {
-        cfg.chaos with
-        Chaos.n = cfg.n;
-        seed = (if cfg.chaos.Chaos.seed = 0 then cfg.seed else cfg.chaos.Chaos.seed);
-      }
-    in
     let spec_of site =
       {
         Snode.site;
@@ -240,7 +233,7 @@ let supervise (cfg : config) =
         rto = cfg.rto;
         max_seconds = cfg.timeout +. 30.0;
         transport = cfg.transport;
-        chaos = plan;
+        chaos = cfg.chaos;
         metrics_port =
           (if cfg.metrics_base_port = 0 then 0
            else cfg.metrics_base_port + site);
@@ -497,7 +490,7 @@ let supervise (cfg : config) =
         {
           tally = Clients.tally clients;
           crashy = cfg.kills <> [];
-          lossy = not (Chaos.is_trivial plan);
+          lossy = not (Net.is_trivial cfg.chaos);
           elapsed = Unix.gettimeofday () -. started_wall;
           node_stats = live_stats;
           node_snapshots = snapshots;

@@ -24,7 +24,6 @@
 module Summary = Dmx_sim.Stats.Summary
 module Oracle = Dmx_sim.Oracle
 module B = Dmx_quorum.Builder
-module Chaos = Dmx_net.Chaos
 
 type config = {
   n : int;  (** node count (>= 2) *)
@@ -51,7 +50,8 @@ type config = {
   hb_timeout : float;
   rto : float;
   transport : string;  (** a {!Dmx_net.Transports} name *)
-  chaos : Chaos.plan;  (** [n] and zero [seed] are filled in *)
+  chaos : Dmx_sim.Network.fault_plan;
+      (** injected by the {!Dmx_net.Chaos} shim, seeded by [seed] *)
   hello_timeout : float;  (** startup phase limit *)
   ports : int list option;
       (** fixed loopback ports ([n] node ports, then the driver's)
@@ -68,7 +68,8 @@ val default : n:int -> config
 
 val validate : config -> (unit, string) result
 (** {!Clients.check}, plus the transport, hello timeout, port list and
-    chaos plan; messages carry a [swarm:] prefix. *)
+    chaos plan ({!Dmx_sim.Network.validate}); messages carry a [swarm:]
+    prefix. *)
 
 (** Per-shard distillation: driver-side counters, the acquire-latency
     summary, and the oracle's verdict over the merged trace (expressed

@@ -46,7 +46,9 @@ type config = {
       (** (time, site) rejoin injections: the site comes back with fresh
           protocol state *)
   detector : detector;
-  faults : Network.fault_plan;  (** injected message loss/duplication/... *)
+  faults : Network.fault_plan;
+      (** injected message loss/duplication/...; no reordering, the
+          channels stay FIFO *)
   stall_timeout : float;
       (** watchdog horizon, armed only when faults are injected or the
           heartbeat detector runs (otherwise queue exhaustion detects

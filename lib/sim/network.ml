@@ -17,17 +17,177 @@ let pp_delay_model ppf = function
   | Shifted_exponential { base; extra_mean } ->
     Format.fprintf ppf "shifted-exp(base=%g,extra=%g)" base extra_mean
 
+(* ---- the fault model: plan, validation, decision, windows, text ---- *)
+
 type partition = { from_t : float; until : float; groups : int list list }
 
 type fault_plan = {
   loss : float;
   duplication : float;
+  reorder : float;
+  reorder_hold : int;
   partitions : partition list;
   delay_spikes : (float * float * float) list;
 }
 
 let no_faults =
-  { loss = 0.0; duplication = 0.0; partitions = []; delay_spikes = [] }
+  {
+    loss = 0.0;
+    duplication = 0.0;
+    reorder = 0.0;
+    reorder_hold = 3;
+    partitions = [];
+    delay_spikes = [];
+  }
+
+let is_trivial f =
+  f.loss = 0.0 && f.duplication = 0.0 && f.reorder = 0.0
+  && f.partitions = [] && f.delay_spikes = []
+
+(* Every comparison is written so that NaN fails it. *)
+let validate ~n f =
+  let bad fmt = Printf.ksprintf invalid_arg ("fault plan: " ^^ fmt) in
+  let prob what v =
+    if not (v >= 0.0 && v < 1.0) then bad "%s %g not in [0,1)" what v
+  in
+  prob "loss" f.loss;
+  prob "duplication" f.duplication;
+  prob "reorder" f.reorder;
+  if f.reorder_hold < 1 then bad "reorder hold %d < 1" f.reorder_hold;
+  List.iter
+    (fun p ->
+      if not (p.from_t >= 0.0 && p.from_t < p.until) then
+        bad "partition window [%g,%g) is empty" p.from_t p.until;
+      if p.groups = [] || List.mem [] p.groups then
+        bad "partition has an empty group";
+      let seen = Hashtbl.create 16 in
+      List.iter
+        (List.iter (fun s ->
+             if s < 0 || s >= n then bad "partition site %d out of range" s;
+             if Hashtbl.mem seen s then bad "partition groups overlap at site %d" s;
+             Hashtbl.replace seen s ()))
+        p.groups)
+    f.partitions;
+  List.iter
+    (fun (from_t, until, extra) ->
+      if not (from_t >= 0.0 && from_t < until && Float.is_finite until) then
+        bad "delay spike window [%g,%g) is empty or unbounded" from_t until;
+      if not (extra > 0.0 && Float.is_finite extra) then
+        bad "delay spike extra %g must be positive and finite" extra)
+    f.delay_spikes
+
+type fate = { lose : bool; duplicate : bool; reorder : bool }
+
+(* Preallocated, indexed by lose + 2 duplicate + 4 reorder, so a decision
+   never allocates. *)
+let fates =
+  Array.init 8 (fun i ->
+      { lose = i land 1 <> 0; duplicate = i land 2 <> 0; reorder = i land 4 <> 0 })
+
+let decide f draw =
+  if f.loss > 0.0 && draw 1 < f.loss then fates.(1)
+  else
+    let dup = if f.duplication > 0.0 && draw 2 < f.duplication then 2 else 0 in
+    let reorder = if f.reorder > 0.0 && draw 3 < f.reorder then 4 else 0 in
+    fates.(dup lor reorder)
+
+(* Unlisted sites fall into one implicit rest-group (0). *)
+let group_of groups site =
+  let rec go i = function
+    | [] -> 0
+    | g :: rest -> if List.mem site g then i else go (i + 1) rest
+  in
+  go 1 groups
+
+let partitioned f ~src ~dst ~at =
+  List.exists
+    (fun p ->
+      at >= p.from_t && at < p.until
+      && group_of p.groups src <> group_of p.groups dst)
+    f.partitions
+
+let spike_extra f ~at =
+  List.fold_left
+    (fun acc (from_t, until, extra) ->
+      if at >= from_t && at < until then acc +. extra else acc)
+    0.0 f.delay_spikes
+
+(* %h round-trips every finite float exactly; infinities need a spelling
+   float_of_string accepts. *)
+let hex_float x =
+  if x = infinity then "inf"
+  else if x = neg_infinity then "-inf"
+  else Printf.sprintf "%h" x
+
+let ilist xs = String.concat "," (List.map string_of_int xs)
+
+let fault_lines f =
+  List.concat
+    [
+      (if f.loss <> 0.0 then [ "loss " ^ hex_float f.loss ] else []);
+      (if f.duplication <> 0.0 then [ "dup " ^ hex_float f.duplication ] else []);
+      (if f.reorder <> 0.0 then [ "reorder " ^ hex_float f.reorder ] else []);
+      (if f.reorder_hold <> no_faults.reorder_hold then
+         [ "hold " ^ string_of_int f.reorder_hold ]
+       else []);
+      List.map
+        (fun p ->
+          String.concat " "
+            [
+              "partition"; hex_float p.from_t; hex_float p.until;
+              String.concat "|" (List.map ilist p.groups);
+            ])
+        f.partitions;
+      List.map
+        (fun (from_t, until, extra) ->
+          String.concat " "
+            [ "spike"; hex_float from_t; hex_float until; hex_float extra ])
+        f.delay_spikes;
+    ]
+
+let add_fault_line f words =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let num s =
+    match float_of_string_opt s with Some v -> v | None -> fail "bad float %S" s
+  in
+  let int s =
+    match int_of_string_opt s with Some v -> v | None -> fail "bad int %S" s
+  in
+  let group g = List.map int (String.split_on_char ',' g) in
+  try
+    match words with
+    | [ "loss"; v ] -> Some (Ok { f with loss = num v })
+    | [ "dup"; v ] -> Some (Ok { f with duplication = num v })
+    | [ "reorder"; v ] -> Some (Ok { f with reorder = num v })
+    | [ "hold"; v ] -> Some (Ok { f with reorder_hold = int v })
+    | [ "partition"; from_t; until; groups ] ->
+      let p =
+        {
+          from_t = num from_t;
+          until = num until;
+          groups = List.map group (String.split_on_char '|' groups);
+        }
+      in
+      Some (Ok { f with partitions = f.partitions @ [ p ] })
+    | [ "spike"; from_t; until; extra ] ->
+      let s = (num from_t, num until, num extra) in
+      Some (Ok { f with delay_spikes = f.delay_spikes @ [ s ] })
+    | _ -> None
+  with Failure e -> Some (Error e)
+
+let faults_of_lines ~n lines =
+  let rec go f = function
+    | [] -> (
+      match validate ~n f with
+      | () -> Ok f
+      | exception Invalid_argument e -> Error e)
+    | l :: rest -> (
+      match add_fault_line f (String.split_on_char ' ' l) with
+      | Some (Ok f) -> go f rest
+      | Some (Error _ as e) -> e
+      | None -> Error (Printf.sprintf "bad fault line %S" l))
+  in
+  go no_faults lines
 
 type drop_reason = [ `Down | `Partitioned | `Faulty ]
 type verdict = Delivered of float list | Lost of drop_reason
@@ -47,12 +207,10 @@ type t = {
   delay : delay_model;
   rng : Rng.t;
   faults : fault_plan;
-  (* Dedicated generator for fault draws so enabling faults does not
-     perturb the delay-sampling stream of fault-free components. *)
-  fault_rng : Rng.t;
-  (* group.(p).(site): partition-group index of [site] under partition [p];
-     sites not listed in any group share the implicit "rest" group. *)
-  part_groups : int array array;
+  (* The uniforms [decide] asks for, read in call order off a dedicated
+     fault generator, so enabling faults does not perturb the delay
+     stream. Built once, so a send allocates no closure. *)
+  draw : int -> float;
   up : bool array;
   (* last_delivery: latest delivery time handed out per directed channel,
      used to enforce FIFO under random delays. *)
@@ -69,35 +227,6 @@ let set_watermark t idx v =
   | Dense_c a -> a.(idx) <- v
   | Sparse_c h -> Hashtbl.replace h idx v
 
-let validate_faults ~n f =
-  let bad fmt = Printf.ksprintf invalid_arg fmt in
-  if not (f.loss >= 0.0 && f.loss < 1.0) then
-    bad "Network.create: loss %g not in [0,1)" f.loss;
-  if not (f.duplication >= 0.0 && f.duplication < 1.0) then
-    bad "Network.create: duplication %g not in [0,1)" f.duplication;
-  List.iter
-    (fun p ->
-      if not (p.from_t >= 0.0 && p.from_t < p.until) then
-        bad "Network.create: partition window [%g,%g) is empty" p.from_t
-          p.until;
-      let seen = Array.make n false in
-      List.iter
-        (List.iter (fun s ->
-             if s < 0 || s >= n then
-               bad "Network.create: partition site %d out of range" s;
-             if seen.(s) then
-               bad "Network.create: partition groups overlap at site %d" s;
-             seen.(s) <- true))
-        p.groups)
-    f.partitions;
-  List.iter
-    (fun (from_t, until, factor) ->
-      if not (from_t >= 0.0 && from_t < until) then
-        bad "Network.create: delay spike window [%g,%g) is empty" from_t until;
-      if not (factor > 0.0) then
-        bad "Network.create: delay spike factor %g must be positive" factor)
-    f.delay_spikes
-
 let create ?(channels = Sparse) ?(faults = no_faults) ?fault_rng ~n ~delay
     ~rng () =
   if n <= 0 then invalid_arg "Network.create: n must be positive";
@@ -106,28 +235,18 @@ let create ?(channels = Sparse) ?(faults = no_faults) ?fault_rng ~n ~delay
       (Printf.sprintf
          "Network.create: dense channels allocate an N x N matrix; n=%d \
           needs the sparse representation" n);
-  validate_faults ~n faults;
+  validate ~n faults;
+  if faults.reorder > 0.0 then
+    invalid_arg "Network.create: channels are FIFO; reorder must be 0";
   let fault_rng =
     match fault_rng with Some r -> r | None -> Rng.create 0x5eed_fa17
-  in
-  let part_groups =
-    List.map
-      (fun p ->
-        (* Unlisted sites fall into one implicit rest-group (index 0). *)
-        let g = Array.make n 0 in
-        List.iteri (fun i sites -> List.iter (fun s -> g.(s) <- i + 1) sites)
-          p.groups;
-        g)
-      faults.partitions
-    |> Array.of_list
   in
   {
     n;
     delay;
     rng;
     faults;
-    fault_rng;
-    part_groups;
+    draw = (fun _ -> Rng.float fault_rng 1.0);
     up = Array.make n true;
     last_delivery =
       (match channels with
@@ -150,24 +269,6 @@ let check_site t i name =
   if i < 0 || i >= t.n then
     invalid_arg (Printf.sprintf "Network.%s: site %d out of range" name i)
 
-let partitioned t ~src ~dst ~now =
-  let rec loop i parts =
-    match parts with
-    | [] -> false
-    | p :: rest ->
-      if now >= p.from_t && now < p.until then
-        let g = t.part_groups.(i) in
-        if g.(src) <> g.(dst) then true else loop (i + 1) rest
-      else loop (i + 1) rest
-  in
-  loop 0 t.faults.partitions
-
-let spike_factor t ~now =
-  List.fold_left
-    (fun acc (from_t, until, factor) ->
-      if now >= from_t && now < until then acc *. factor else acc)
-    1.0 t.faults.delay_spikes
-
 let partition_edges t =
   List.concat_map
     (fun p ->
@@ -175,8 +276,8 @@ let partition_edges t =
       :: (if Float.is_finite p.until then [ (p.until, true) ] else []))
     t.faults.partitions
 
-let deliver_one t ~idx ~now ~factor =
-  let at = Float.max (now +. (sample t *. factor)) (watermark t idx) in
+let deliver_one t ~idx ~now ~extra =
+  let at = Float.max (now +. sample t +. extra) (watermark t idx) in
   set_watermark t idx at;
   at
 
@@ -184,19 +285,17 @@ let transmit t ~src ~dst ~now =
   check_site t src "transmit";
   check_site t dst "transmit";
   if not (t.up.(src) && t.up.(dst)) then Lost `Down
-  else if partitioned t ~src ~dst ~now then Lost `Partitioned
-  else if t.faults.loss > 0.0 && Rng.float t.fault_rng 1.0 < t.faults.loss then
-    Lost `Faulty
-  else begin
-    let idx = (src * t.n) + dst in
-    let factor = spike_factor t ~now in
-    let first = deliver_one t ~idx ~now ~factor in
-    if
-      t.faults.duplication > 0.0
-      && Rng.float t.fault_rng 1.0 < t.faults.duplication
-    then Delivered [ first; deliver_one t ~idx ~now ~factor ]
-    else Delivered [ first ]
-  end
+  else if partitioned t.faults ~src ~dst ~at:now then Lost `Partitioned
+  else
+    let fate = decide t.faults t.draw in
+    if fate.lose then Lost `Faulty
+    else begin
+      let idx = (src * t.n) + dst in
+      let extra = spike_extra t.faults ~at:now in
+      let first = deliver_one t ~idx ~now ~extra in
+      if fate.duplicate then Delivered [ first; deliver_one t ~idx ~now ~extra ]
+      else Delivered [ first ]
+    end
 
 let delivery_time t ~src ~dst ~now =
   match transmit t ~src ~dst ~now with

@@ -58,12 +58,7 @@ let to_engine_config t =
 
 (* ---- serialization ---- *)
 
-(* %h round-trips every finite float exactly; infinities need a spelling
-   float_of_string accepts. *)
-let fstr x =
-  if x = infinity then "inf"
-  else if x = neg_infinity then "-inf"
-  else Printf.sprintf "%h" x
+let fstr = Network.hex_float
 
 let ilist xs = String.concat "," (List.map string_of_int xs)
 
@@ -95,19 +90,7 @@ let to_string t =
   | Workload.Burst { requesters; at } ->
     line "workload burst %s %s" (fstr at)
       (if requesters = [] then "-" else ilist requesters));
-  if t.faults.Network.loss > 0.0 then
-    line "loss %s" (fstr t.faults.Network.loss);
-  if t.faults.Network.duplication > 0.0 then
-    line "dup %s" (fstr t.faults.Network.duplication);
-  List.iter
-    (fun (p : Network.partition) ->
-      line "partition %s %s %s" (fstr p.Network.from_t) (fstr p.Network.until)
-        (String.concat "|" (List.map ilist p.Network.groups)))
-    t.faults.Network.partitions;
-  List.iter
-    (fun (from_t, until, factor) ->
-      line "spike %s %s %s" (fstr from_t) (fstr until) (fstr factor))
-    t.faults.Network.delay_spikes;
+  List.iter (line "%s") (Network.fault_lines t.faults);
   List.iter (fun (at, s) -> line "crash %s %d" (fstr at) s) t.crashes;
   List.iter (fun (at, s) -> line "recover %s %d" (fstr at) s) t.recoveries;
   (match t.detector with
@@ -209,48 +192,6 @@ let of_string s =
             let* at = float_of at in
             let* requesters = if rs = "-" then Ok [] else ints_of rs in
             Ok { acc with workload = Workload.Burst { requesters; at } }
-          | [ "loss"; v ] ->
-            let* loss = float_of v in
-            Ok { acc with faults = { acc.faults with Network.loss } }
-          | [ "dup"; v ] ->
-            let* duplication = float_of v in
-            Ok { acc with faults = { acc.faults with Network.duplication } }
-          | [ "partition"; from_s; until_s; groups_s ] ->
-            let* from_t = float_of from_s in
-            let* until = float_of until_s in
-            let* groups =
-              List.fold_left
-                (fun acc g ->
-                  let* acc = acc in
-                  let* g = ints_of g in
-                  Ok (g :: acc))
-                (Ok [])
-                (String.split_on_char '|' groups_s)
-            in
-            let p = { Network.from_t; until; groups = List.rev groups } in
-            Ok
-              {
-                acc with
-                faults =
-                  {
-                    acc.faults with
-                    Network.partitions = acc.faults.Network.partitions @ [ p ];
-                  };
-              }
-          | [ "spike"; f; u; k ] ->
-            let* from_t = float_of f in
-            let* until = float_of u in
-            let* factor = float_of k in
-            Ok
-              {
-                acc with
-                faults =
-                  {
-                    acc.faults with
-                    Network.delay_spikes =
-                      acc.faults.Network.delay_spikes @ [ (from_t, until, factor) ];
-                  };
-              }
           | [ "crash"; at; s ] ->
             let* at = float_of at in
             let* s = int_of s in
@@ -273,29 +214,38 @@ let of_string s =
           | [ "stall"; v ] ->
             let* stall = float_of v in
             Ok { acc with stall }
-          | _ -> err "bad schedule line %S" l
+          | words -> (
+            match Network.add_fault_line acc.faults words with
+            | Some faults ->
+              let* faults = faults in
+              Ok { acc with faults }
+            | None -> err "bad schedule line %S" l)
         in
         fold acc rest
     in
     let* t = fold (default ~algo:"delay-optimal" ~n:0) rest in
-    if t.n <= 0 then err "schedule missing n"
-    else
-      (* The fold seeds n-dependent defaults with n = 0; re-derive them now
-         that n is known, so a file that omits `workload` means "saturated,
-         all sites" exactly as [default ~n] would. At huge N that implicit
-         default would instantiate every site, so refuse it loudly instead
-         of letting Workload's guard fire deep inside the run. *)
-      match t.workload with
-      | Workload.Saturated { contenders } when contenders <= 0 ->
-        if t.n > Workload.max_eager_sites then
-          err
-            "schedule has n = %d but no explicit workload: the implied \
-             \"saturated, all %d sites\" would instantiate every site; add a \
-             `workload open-loop <active> <rate>` or `workload saturated \
-             <contenders>` line with at most %d active sites"
-            t.n t.n Workload.max_eager_sites
-        else Ok { t with workload = Workload.Saturated { contenders = t.n } }
-      | _ -> Ok t
+    let* () =
+      if t.n <= 0 then err "schedule missing n"
+      else
+        try Ok (Network.validate ~n:t.n t.faults)
+        with Invalid_argument e -> Error e
+    in
+    (* The fold seeds n-dependent defaults with n = 0; re-derive them now
+       that n is known, so a file that omits `workload` means "saturated,
+       all sites" exactly as [default ~n] would. At huge N that implicit
+       default would instantiate every site, so refuse it loudly instead
+       of letting Workload's guard fire deep inside the run. *)
+    match t.workload with
+    | Workload.Saturated { contenders } when contenders <= 0 ->
+      if t.n > Workload.max_eager_sites then
+        err
+          "schedule has n = %d but no explicit workload: the implied \
+           \"saturated, all %d sites\" would instantiate every site; add a \
+           `workload open-loop <active> <rate>` or `workload saturated \
+           <contenders>` line with at most %d active sites"
+          t.n t.n Workload.max_eager_sites
+      else Ok { t with workload = Workload.Saturated { contenders = t.n } }
+    | _ -> Ok t
 
 let to_file t path =
   let oc = open_out path in

@@ -44,7 +44,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse [.dmxrepro] text. Blank lines and [#] comments are skipped;
-    unknown keys and a missing/non-positive [n] are errors. Omitted keys
+    unknown keys, a missing/non-positive [n] and a fault plan that
+    {!Network.validate} rejects are errors. The fault lines are
+    {!Network}'s text form ({!Network.fault_lines}). Omitted keys
     take {!default}'s values, with [n]-dependent defaults (the saturated
     workload's contender count) re-derived after parsing. *)
 

@@ -112,8 +112,8 @@ let test_chaos_udp_cluster () =
         transport = "udp";
         chaos =
           {
-            Dmx_net.Chaos.no_faults with
-            Dmx_net.Chaos.loss = 0.2;
+            Dmx_sim.Network.no_faults with
+            Dmx_sim.Network.loss = 0.2;
             duplication = 0.05;
           };
         rounds = 10;

@@ -57,7 +57,7 @@ let scenario ~n seed =
     end
     else ([], [])
   in
-  ( { Net.loss; duplication = dup; partitions; delay_spikes },
+  ( { Net.no_faults with Net.loss; duplication = dup; partitions; delay_spikes },
     crashes,
     recoveries )
 

@@ -116,7 +116,7 @@ let gen seed =
         end
         else ([], [])
       in
-      ( { Net.loss; duplication = dup; partitions; delay_spikes = [] },
+      ( { Net.no_faults with Net.loss; duplication = dup; partitions },
         crashes,
         recoveries,
         E.Heartbeat { Dmx_sim.Detector.period = 2.0; timeout = 10.0 },

@@ -189,14 +189,21 @@ let test_duplication () =
     (rate > 0.45 && rate < 0.55)
 
 let test_delay_spike () =
-  let faults = { Net.no_faults with delay_spikes = [ (10.0, 20.0, 3.0) ] } in
+  (* a spike adds its extra seconds; overlapping spikes add up *)
+  let faults =
+    { Net.no_faults with delay_spikes = [ (10.0, 20.0, 3.0); (18.0, 30.0, 0.5) ] }
+  in
   let net = fmake faults (Net.Constant 2.0) in
-  (match Net.transmit net ~src:0 ~dst:1 ~now:0.0 with
-  | Net.Delivered [ t ] -> Alcotest.(check (float 1e-9)) "outside" 2.0 t
-  | _ -> Alcotest.fail "delivery expected");
-  match Net.transmit net ~src:0 ~dst:1 ~now:15.0 with
-  | Net.Delivered [ t ] -> Alcotest.(check (float 1e-9)) "tripled" 21.0 t
-  | _ -> Alcotest.fail "delivery expected"
+  let at now expected what =
+    match Net.transmit net ~src:0 ~dst:1 ~now with
+    | Net.Delivered [ t ] -> Alcotest.(check (float 1e-9)) what expected t
+    | _ -> Alcotest.fail "delivery expected"
+  in
+  at 0.0 2.0 "outside";
+  at 15.0 20.0 "plus 3";
+  at 19.0 24.5 "both spikes";
+  at 25.0 27.5 "second spike only";
+  at 30.0 32.0 "window end is exclusive"
 
 let test_fault_determinism () =
   let faults =
@@ -220,6 +227,8 @@ let test_fault_validation () =
     (bad { Net.no_faults with loss = 1.0 });
   Alcotest.(check bool) "negative dup" true
     (bad { Net.no_faults with duplication = -0.1 });
+  Alcotest.(check bool) "reorder breaks FIFO channels" true
+    (bad { Net.no_faults with reorder = 0.1 });
   Alcotest.(check bool) "overlapping groups" true
     (bad
        {
@@ -233,7 +242,7 @@ let test_fault_validation () =
          Net.no_faults with
          partitions = [ { Net.from_t = 5.0; until = 5.0; groups = [ [ 0 ] ] } ];
        });
-  Alcotest.(check bool) "zero spike factor" true
+  Alcotest.(check bool) "zero spike extra" true
     (bad { Net.no_faults with delay_spikes = [ (0.0, 1.0, 0.0) ] })
 
 let suite =
@@ -252,7 +261,7 @@ let suite =
       ("lost message keeps watermark", test_lost_message_keeps_watermark);
       ("loss rate near nominal", test_loss_rate);
       ("duplication delivers ordered copies", test_duplication);
-      ("delay spike multiplies", test_delay_spike);
+      ("delay spike adds", test_delay_spike);
       ("fault injection deterministic", test_fault_determinism);
       ("fault plans validated", test_fault_validation);
     ]

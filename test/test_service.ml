@@ -538,9 +538,9 @@ let test_live_swarm_partition_window () =
       quorum = B.Majority;
       chaos =
         {
-          Dmx_net.Chaos.no_faults with
-          Dmx_net.Chaos.partitions =
-            [ { Dmx_net.Chaos.from_t = 0.0; until = 0.4; groups = [ [ 0 ] ] } ];
+          Dmx_sim.Network.no_faults with
+          Dmx_sim.Network.partitions =
+            [ { Dmx_sim.Network.from_t = 0.0; until = 0.4; groups = [ [ 0 ] ] } ];
         };
       timeout = 60.0;
     }
