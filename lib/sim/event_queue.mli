@@ -17,7 +17,8 @@ val schedule : 'a t -> time:float -> 'a -> unit
     @raise Invalid_argument otherwise. *)
 
 val next : 'a t -> 'a event option
-(** Remove and return the earliest event. *)
+(** Remove and return the earliest event. The queue keeps no reference
+    to a payload once {!next} or {!drop_if} has removed it. *)
 
 val peek_time : 'a t -> float option
 (** Firing time of the earliest pending event. *)
