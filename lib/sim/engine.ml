@@ -20,9 +20,6 @@ type config = {
          arrival or delivery) instead of all n up front; requires the
          Oracle detector. Off by default: eager instantiation stays the
          reference behavior. *)
-  dense_channels : bool;
-      (* force the reference N x N FIFO-watermark matrix instead of the
-         sparse per-channel table (small N only; for equivalence tests) *)
   obs : Dmx_obs.Registry.t option;
       (* metrics registry the run flushes its totals into (events, heap
          ops, executions, messages, per-kind counts). Flushed once at the
@@ -47,7 +44,6 @@ let default ~n =
     stall_timeout = 2000.0;
     trace = false;
     lazy_sites = false;
-    dense_channels = false;
     obs = None;
   }
 
@@ -445,9 +441,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         cfg;
         q = Event_queue.create ();
         net =
-          Network.create
-            ~channels:(if cfg.dense_channels then Network.Dense else Network.Sparse)
-            ~faults:cfg.faults ~fault_rng ~n:cfg.n ~delay:cfg.delay
+          Network.create ~faults:cfg.faults ~fault_rng ~n:cfg.n ~delay:cfg.delay
             ~rng:net_rng ();
         trace;
         render = Trace.Render.create ();

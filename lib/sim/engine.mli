@@ -63,11 +63,6 @@ type config = {
           (heartbeats would touch all N sites) and a workload whose active
           set is small. Off, every site is built up front in the reference
           order, so existing seeds reproduce bit-identically. *)
-  dense_channels : bool;
-      (** force the O(N²) per-channel watermark matrix instead of the sparse
-          hashtable. Same observable behavior either way (see {!Network});
-          kept as a cross-check knob for the fingerprint tests. Refused
-          above n = 16384. *)
   obs : Dmx_obs.Registry.t option;
       (** metrics registry the run flushes into when the run ends:
           [engine.events], [engine.heap.push]/[pop]/[peak],

@@ -192,16 +192,6 @@ let faults_of_lines ~n lines =
 type drop_reason = [ `Down | `Partitioned | `Faulty ]
 type verdict = Delivered of float list | Lost of drop_reason
 
-type channel_repr = Dense | Sparse
-
-(* FIFO watermarks per directed channel, keyed by [src * n + dst]. The dense
-   form is the original N x N matrix (kept as the small-N reference and for
-   the fingerprint tests); the sparse form creates an entry on first send,
-   so memory follows touched links instead of N^2. A missing sparse entry
-   reads as 0.0, exactly the dense initial value, so the two forms are
-   observationally identical. *)
-type channels = Dense_c of float array | Sparse_c of (int, float) Hashtbl.t
-
 type t = {
   n : int;
   delay : delay_model;
@@ -213,28 +203,16 @@ type t = {
   draw : int -> float;
   up : bool array;
   (* last_delivery: latest delivery time handed out per directed channel,
-     used to enforce FIFO under random delays. *)
-  last_delivery : channels;
+     keyed by [src * n + dst] and created on first send, used to enforce
+     FIFO under random delays; a missing entry reads as 0.0. *)
+  last_delivery : (int, float) Hashtbl.t;
 }
 
 let watermark t idx =
-  match t.last_delivery with
-  | Dense_c a -> a.(idx)
-  | Sparse_c h -> ( match Hashtbl.find_opt h idx with Some v -> v | None -> 0.0)
+  match Hashtbl.find_opt t.last_delivery idx with Some v -> v | None -> 0.0
 
-let set_watermark t idx v =
-  match t.last_delivery with
-  | Dense_c a -> a.(idx) <- v
-  | Sparse_c h -> Hashtbl.replace h idx v
-
-let create ?(channels = Sparse) ?(faults = no_faults) ?fault_rng ~n ~delay
-    ~rng () =
+let create ?(faults = no_faults) ?fault_rng ~n ~delay ~rng () =
   if n <= 0 then invalid_arg "Network.create: n must be positive";
-  if channels = Dense && n > 16_384 then
-    invalid_arg
-      (Printf.sprintf
-         "Network.create: dense channels allocate an N x N matrix; n=%d \
-          needs the sparse representation" n);
   validate ~n faults;
   if faults.reorder > 0.0 then
     invalid_arg "Network.create: channels are FIFO; reorder must be 0";
@@ -248,10 +226,7 @@ let create ?(channels = Sparse) ?(faults = no_faults) ?fault_rng ~n ~delay
     faults;
     draw = (fun _ -> Rng.float fault_rng 1.0);
     up = Array.make n true;
-    last_delivery =
-      (match channels with
-      | Dense -> Dense_c (Array.make (n * n) 0.0)
-      | Sparse -> Sparse_c (Hashtbl.create 64));
+    last_delivery = Hashtbl.create 64;
   }
 
 let n t = t.n
@@ -278,7 +253,7 @@ let partition_edges t =
 
 let deliver_one t ~idx ~now ~extra =
   let at = Float.max (now +. sample t +. extra) (watermark t idx) in
-  set_watermark t idx at;
+  Hashtbl.replace t.last_delivery idx at;
   at
 
 let transmit t ~src ~dst ~now =
@@ -311,20 +286,13 @@ let recover t i =
   check_site t i "recover";
   t.up.(i) <- true;
   (* Channels restart empty: reset FIFO watermarks touching this site. *)
-  (match t.last_delivery with
-  | Dense_c a ->
-    for j = 0 to t.n - 1 do
-      a.((i * t.n) + j) <- 0.0;
-      a.((j * t.n) + i) <- 0.0
-    done
-  | Sparse_c h ->
-    let touching =
-      Hashtbl.fold
-        (fun idx _ acc ->
-          if idx / t.n = i || idx mod t.n = i then idx :: acc else acc)
-        h []
-    in
-    List.iter (Hashtbl.remove h) touching)
+  let touching =
+    Hashtbl.fold
+      (fun idx _ acc ->
+        if idx / t.n = i || idx mod t.n = i then idx :: acc else acc)
+      t.last_delivery []
+  in
+  List.iter (Hashtbl.remove t.last_delivery) touching
 
 let is_up t i =
   check_site t i "is_up";

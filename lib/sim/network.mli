@@ -121,22 +121,14 @@ type verdict =
 
 type t
 
-type channel_repr =
-  | Dense  (** the original N x N FIFO-watermark matrix — small N only *)
-  | Sparse
-      (** per-channel watermarks created on first send; memory follows
-          touched links instead of N², enabling universes of 10⁶ sites.
-          Observationally identical to [Dense]: a missing entry reads as the
-          dense initial value, and the delay/fault RNG streams are untouched
-          by the representation. *)
-
 val create :
-  ?channels:channel_repr -> ?faults:fault_plan -> ?fault_rng:Rng.t ->
+  ?faults:fault_plan -> ?fault_rng:Rng.t ->
   n:int -> delay:delay_model -> rng:Rng.t -> unit -> t
 (** [create ~n ~delay ~rng ()] models a fully connected network of [n]
     sites. The generator is consumed for delay sampling; pass a dedicated
-    split. [channels] defaults to [Sparse]; dense is refused above
-    n = 16384 (the matrix would dominate memory). [faults] defaults to
+    split. FIFO watermarks are kept per directed channel on first send, so
+    memory follows touched links instead of N², enabling universes of 10⁶
+    sites. [faults] defaults to
     {!no_faults}; fault draws consume
     [fault_rng] (a fixed-seed generator when omitted), never [rng], so the
     delay stream is identical with and without faults.
