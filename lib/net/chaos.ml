@@ -62,11 +62,12 @@ type t = {
   self : int;
   peers : int list;
   inner : Transport_sig.handle;
-  lock : Mutex.t;
   counters : (int, int) Hashtbl.t;  (* dst -> frames offered on that link *)
   mutable zero : float option;  (* wall-clock anchor of window time 0 *)
   mutable delayed : (float * int * Wire.frame) list;  (* due, dst, frame *)
   mutable held : held list;
+  (* injected-fault counters, read by registry probes from the scrape
+     thread *)
   lost : int Atomic.t;
   duplicated : int Atomic.t;
   reordered : int Atomic.t;
@@ -83,7 +84,6 @@ let create plan ~seed ~n ~self ~peers ~inner =
     self;
     peers;
     inner;
-    lock = Mutex.create ();
     counters = Hashtbl.create 8;
     zero = None;
     delayed = [];
@@ -95,10 +95,7 @@ let create plan ~seed ~n ~self ~peers ~inner =
     dropped_partition = Atomic.make 0;
   }
 
-let set_zero t epoch =
-  Mutex.lock t.lock;
-  t.zero <- Some epoch;
-  Mutex.unlock t.lock
+let set_zero t epoch = t.zero <- Some epoch
 
 (* window-relative time; negative (windows inactive) until the epoch is
    known *)
@@ -107,8 +104,8 @@ let rel_now t now = match t.zero with Some z -> now -. z | None -> -1.0
 let exempt t dst = dst >= t.n || t.self >= t.n
 
 (* Flush every delayed frame that is due and every held frame whose link
-   counter or deadline has passed. Called under [t.lock]. *)
-let flush_due_locked t now =
+   counter or deadline has passed. *)
+let flush_due t now =
   let due, still =
     List.partition (fun (d, _, _) -> now >= d) t.delayed
   in
@@ -124,7 +121,7 @@ let flush_due_locked t now =
   List.iter (fun (_, dst, f) -> t.inner.send ~dst f) due;
   List.iter (fun h -> t.inner.send ~dst:h.h_dst h.h_frame) ready
 
-let send_one_locked t now dst frame =
+let send_one t now dst frame =
   if exempt t dst then t.inner.send ~dst frame
   else begin
     let k = try Hashtbl.find t.counters dst with Not_found -> 0 in
@@ -166,47 +163,40 @@ let send_one_locked t now dst frame =
     end
   end
 
-let send t ~dst frame =
+let send_to t dsts frame =
   let now = Unix.gettimeofday () in
-  Mutex.lock t.lock;
-  flush_due_locked t now;
-  send_one_locked t now dst frame;
-  Mutex.unlock t.lock
+  flush_due t now;
+  List.iter (fun dst -> send_one t now dst frame) dsts
+
+let send t ~dst frame = send_to t [ dst ] frame
 
 let poll t =
-  let now = Unix.gettimeofday () in
-  Mutex.lock t.lock;
-  flush_due_locked t now;
-  Mutex.unlock t.lock;
+  flush_due t (Unix.gettimeofday ());
   t.inner.poll ()
 
+let counters t =
+  [
+    ("chaos.lost", t.lost);
+    ("chaos.duplicated", t.duplicated);
+    ("chaos.reordered", t.reordered);
+    ("chaos.delayed", t.delayed_n);
+    ("chaos.partition_dropped", t.dropped_partition);
+  ]
+
 let stats_alist t =
-  List.filter
-    (fun (_, v) -> v > 0)
-    [
-      ("chaos.lost", Atomic.get t.lost);
-      ("chaos.duplicated", Atomic.get t.duplicated);
-      ("chaos.reordered", Atomic.get t.reordered);
-      ("chaos.delayed", Atomic.get t.delayed_n);
-      ("chaos.partition_dropped", Atomic.get t.dropped_partition);
-    ]
+  List.filter_map
+    (fun (name, a) -> match Atomic.get a with 0 -> None | v -> Some (name, v))
+    (counters t)
 
 let register_obs ?labels reg t =
-  let p name a = Dmx_obs.Registry.probe ?labels reg name (fun () -> Atomic.get a) in
-  p "chaos.lost" t.lost;
-  p "chaos.duplicated" t.duplicated;
-  p "chaos.reordered" t.reordered;
-  p "chaos.delayed" t.delayed_n;
-  p "chaos.partition_dropped" t.dropped_partition
+  List.iter
+    (fun (name, a) ->
+      Dmx_obs.Registry.probe ?labels reg name (fun () -> Atomic.get a))
+    (counters t)
 
 (* per-link decisions require per-destination sends, so broadcast fans
    out through the shim rather than the inner broadcast *)
-let broadcast t frame =
-  let now = Unix.gettimeofday () in
-  Mutex.lock t.lock;
-  flush_due_locked t now;
-  List.iter (fun dst -> send_one_locked t now dst frame) t.peers;
-  Mutex.unlock t.lock
+let broadcast t frame = send_to t t.peers frame
 
 let handle t =
   {

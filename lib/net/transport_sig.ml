@@ -36,19 +36,25 @@ let no_stats =
     silences = 0;
   }
 
+(* every counter, under its metric-name suffix, in one order for the
+   Metrics frame and the registry *)
+let fields =
+  [
+    (".sent", fun s -> s.frames_sent);
+    (".received", fun s -> s.frames_received);
+    (".oversize", fun s -> s.oversize_dropped);
+    (".undecodable", fun s -> s.undecodable);
+    (".bytes_sent", fun s -> s.bytes_sent);
+    (".bytes_received", fun s -> s.bytes_received);
+    (".connects", fun s -> s.connects);
+    (".silences", fun s -> s.silences);
+  ]
+
 let stats_alist ~prefix s =
-  List.filter
-    (fun (_, v) -> v > 0)
-    [
-      (prefix ^ ".sent", s.frames_sent);
-      (prefix ^ ".received", s.frames_received);
-      (prefix ^ ".oversize", s.oversize_dropped);
-      (prefix ^ ".undecodable", s.undecodable);
-      (prefix ^ ".bytes_sent", s.bytes_sent);
-      (prefix ^ ".bytes_received", s.bytes_received);
-      (prefix ^ ".connects", s.connects);
-      (prefix ^ ".silences", s.silences);
-    ]
+  List.filter_map
+    (fun (name, read) ->
+      match read s with 0 -> None | v -> Some (prefix ^ name, v))
+    fields
 
 module type S = sig
   type t
@@ -79,113 +85,121 @@ let handle (type a) (module T : S with type t = a) (t : a) =
   }
 
 (* Register every stats field of a handle as registry probes. Probes are
-   polled at snapshot time only — the transport keeps its own atomics and
-   pays nothing extra on the hot path. *)
+   polled at snapshot time only, possibly from the scrape endpoint's
+   thread: the transports keep these counters in atomics and pay nothing
+   extra on the hot path. *)
 let register_obs ?labels reg ~prefix (h : handle) =
-  let p name read = Dmx_obs.Registry.probe ?labels reg (prefix ^ name) (fun () -> read (h.stats ())) in
-  p ".sent" (fun s -> s.frames_sent);
-  p ".received" (fun s -> s.frames_received);
-  p ".oversize" (fun s -> s.oversize_dropped);
-  p ".undecodable" (fun s -> s.undecodable);
-  p ".bytes_sent" (fun s -> s.bytes_sent);
-  p ".bytes_received" (fun s -> s.bytes_received);
-  p ".connects" (fun s -> s.connects);
-  p ".silences" (fun s -> s.silences)
+  List.iter
+    (fun (name, read) ->
+      Dmx_obs.Registry.probe ?labels reg (prefix ^ name) (fun () ->
+          read (h.stats ())))
+    fields
 
-(* ---- shared event-queue + silence-detection state ----
+(* ---- shared event queue, counters and silence detection ----
 
-   Both concrete transports (TCP streams, UDP datagrams) hand delivery
-   and failure detection through the same machinery: reader threads push
-   events and record when each peer was last heard; the owner's [poll]
-   drains the queue and, at most once per [hb_period], scans the watched
-   peers for heartbeat silence. Heartbeat *emission* is the owner's job
-   (through the possibly chaos-wrapped handle), so injected faults apply
-   to heartbeats exactly as to protocol traffic. *)
+   Both transports feed this from their [poll], on the owner's thread:
+   each frame is counted, its sender marked heard, and the frame queued;
+   [poll] then drains the queue and, at most once per [hb_period], scans
+   the watched peers for heartbeat silence. Heartbeat *emission* is the
+   owner's job, through the possibly chaos-wrapped handle, so injected
+   faults apply to heartbeats exactly as to protocol traffic. *)
 
 module Peers = struct
   type t = {
     cfg : config;
-    lock : Mutex.t;
     events : event Queue.t;
     last_heard : (int, float) Hashtbl.t;
-    suspected : (int, bool) Hashtbl.t;
+    suspected : (int, unit) Hashtbl.t;
     started : float;
     mutable last_check : float;
-    mutable silences : int;  (* Peer_down transitions ever signalled *)
+    (* counters, read by registry probes from the scrape thread *)
+    sent : int Atomic.t;
+    received : int Atomic.t;
+    oversize : int Atomic.t;
+    undecodable : int Atomic.t;
+    bytes_sent : int Atomic.t;
+    bytes_received : int Atomic.t;
+    connects : int Atomic.t;
+    silences : int Atomic.t;
   }
 
   let create cfg =
     let now = Unix.gettimeofday () in
+    let z () = Atomic.make 0 in
     {
       cfg;
-      lock = Mutex.create ();
       events = Queue.create ();
       last_heard = Hashtbl.create 16;
       suspected = Hashtbl.create 16;
       started = now;
       last_check = now;
-      silences = 0;
+      sent = z ();
+      received = z ();
+      oversize = z ();
+      undecodable = z ();
+      bytes_sent = z ();
+      bytes_received = z ();
+      connects = z ();
+      silences = z ();
     }
 
-  let silences t =
-    Mutex.lock t.lock;
-    let v = t.silences in
-    Mutex.unlock t.lock;
-    v
+  let stats t =
+    let g = Atomic.get in
+    {
+      frames_sent = g t.sent;
+      frames_received = g t.received;
+      oversize_dropped = g t.oversize;
+      undecodable = g t.undecodable;
+      bytes_sent = g t.bytes_sent;
+      bytes_received = g t.bytes_received;
+      connects = g t.connects;
+      silences = g t.silences;
+    }
 
-  let push t ev =
-    Mutex.lock t.lock;
-    Queue.push ev t.events;
-    Mutex.unlock t.lock
+  let sent t bytes =
+    Atomic.incr t.sent;
+    ignore (Atomic.fetch_and_add t.bytes_sent bytes)
 
-  (* A frame arrived from [src]: refresh its liveness, and retract any
-     standing suspicion. *)
-  let heard t src =
+  let oversize t = Atomic.incr t.oversize
+  let undecodable t = Atomic.incr t.undecodable
+  let connected t = Atomic.incr t.connects
+  let idle t = Queue.is_empty t.events
+
+  (* A frame of [bytes] wire bytes arrived from [src]: count it, refresh
+     the sender's liveness, retract any standing suspicion, and queue the
+     frame. *)
+  let deliver t ~src frame bytes =
+    Atomic.incr t.received;
+    ignore (Atomic.fetch_and_add t.bytes_received bytes);
     if src >= 0 then begin
-      Mutex.lock t.lock;
       Hashtbl.replace t.last_heard src (Unix.gettimeofday ());
-      let was_suspected =
-        match Hashtbl.find_opt t.suspected src with Some b -> b | None -> false
-      in
-      if was_suspected then begin
-        Hashtbl.replace t.suspected src false;
+      if Hashtbl.mem t.suspected src then begin
+        Hashtbl.remove t.suspected src;
         Queue.push (Peer_up src) t.events
-      end;
-      Mutex.unlock t.lock
-    end
+      end
+    end;
+    Queue.push (Frame { src; frame }) t.events
 
-  let check_silence_locked t =
+  let check_silence t =
     let now = Unix.gettimeofday () in
     if t.cfg.hb_period > 0.0 && now -. t.last_check >= t.cfg.hb_period then begin
       t.last_check <- now;
       List.iter
         (fun id ->
-          let last =
-            match Hashtbl.find_opt t.last_heard id with
-            | Some ts -> ts
-            | None -> t.started (* grace period from transport start *)
-          in
-          let suspected =
-            match Hashtbl.find_opt t.suspected id with
-            | Some b -> b
-            | None -> false
-          in
-          if (not suspected) && now -. last > t.cfg.hb_timeout then begin
-            Hashtbl.replace t.suspected id true;
-            t.silences <- t.silences + 1;
+          (* never heard: the grace period runs from transport start *)
+          let last = Option.value ~default:t.started (Hashtbl.find_opt t.last_heard id) in
+          if (not (Hashtbl.mem t.suspected id)) && now -. last > t.cfg.hb_timeout
+          then begin
+            Hashtbl.replace t.suspected id ();
+            Atomic.incr t.silences;
             Queue.push (Peer_down id) t.events
           end)
         t.cfg.watch
     end
 
   let poll t =
-    Mutex.lock t.lock;
-    check_silence_locked t;
-    let ev =
-      if Queue.is_empty t.events then None else Some (Queue.pop t.events)
-    in
-    Mutex.unlock t.lock;
-    ev
+    check_silence t;
+    Queue.take_opt t.events
 end
 
 (* Learn the sending site from any frame carrying a source field; [-1]

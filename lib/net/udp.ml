@@ -9,164 +9,110 @@ let max_datagram = 65507
 
 type peer = {
   id : int;
-  lock : Mutex.t;  (* guards [fd] *)
   mutable fd : Unix.file_descr option;
   addr : Unix.sockaddr;
 }
 
+module Peers = Transport_sig.Peers
+
 type t = {
-  cfg : Transport_sig.config;
   recv_fd : Unix.file_descr;
   peers : peer list;
-  book : Transport_sig.Peers.t;
-  stop : bool Atomic.t;
-  sent : int Atomic.t;
-  received : int Atomic.t;
-  oversize : int Atomic.t;
-  undecodable : int Atomic.t;
-  bytes_sent : int Atomic.t;
-  bytes_received : int Atomic.t;
-  mutable reader : Thread.t option;
+  book : Peers.t;
+  buf : Bytes.t;  (* one datagram, with a byte to spare *)
+  mutable closed : bool;
 }
 
-let poll t = Transport_sig.Peers.poll t.book
+let stats t = Peers.stats t.book
 
 (* ---- sending: per-peer connected sockets, opened lazily ---- *)
 
 let peer_fd p =
-  Mutex.lock p.lock;
-  let fd =
-    match p.fd with
-    | Some fd -> Some fd
-    | None -> (
-      match
-        let fd = Unix.socket PF_INET SOCK_DGRAM 0 in
-        (try Unix.connect fd p.addr
-         with e ->
-           (try Unix.close fd with _ -> ());
-           raise e);
-        fd
-      with
-      | fd ->
-        p.fd <- Some fd;
-        Some fd
-      | exception _ -> None)
-  in
-  Mutex.unlock p.lock;
-  fd
+  (if p.fd = None then
+     match Unix.socket ~cloexec:true PF_INET SOCK_DGRAM 0 with
+     | exception Unix.Unix_error _ -> ()
+     | fd -> (
+       try
+         Unix.connect fd p.addr;
+         p.fd <- Some fd
+       with Unix.Unix_error _ -> Unix.close fd));
+  p.fd
 
-let send_to_peer t p frame =
+let send_to t peers frame =
   let payload = Wire.encode frame in
   let len = String.length payload in
-  if len > max_datagram then Atomic.incr t.oversize
-  else
-    match peer_fd p with
-    | None -> ()
-    | Some fd -> (
-      (* connected socket: plain [write] is a datagram send; any error
-         (ICMP port unreachable surfacing as ECONNREFUSED, ...) is just
-         loss — the reliability layer retries *)
-      match Unix.write_substring fd payload 0 len with
-      | _ ->
-        Atomic.incr t.sent;
-        ignore (Atomic.fetch_and_add t.bytes_sent len)
-      | exception _ -> ())
+  if len > max_datagram then Peers.oversize t.book
+  else if not t.closed then
+    List.iter
+      (fun p ->
+        match peer_fd p with
+        | None -> ()
+        | Some fd -> (
+          (* connected socket: plain [write] is a datagram send; any error
+             (ICMP port unreachable surfacing as ECONNREFUSED, ...) is just
+             loss — the reliability layer retries *)
+          match Unix.write_substring fd payload 0 len with
+          | _ -> Peers.sent t.book len
+          | exception Unix.Unix_error _ -> ()))
+      peers
 
 let send t ~dst frame =
-  match List.find_opt (fun p -> p.id = dst) t.peers with
-  | Some p -> send_to_peer t p frame
-  | None -> ()
+  send_to t (List.filter (fun p -> p.id = dst) t.peers) frame
 
-let broadcast t frame = List.iter (fun p -> send_to_peer t p frame) t.peers
+let broadcast t frame = send_to t t.peers frame
 
-let stats t =
-  {
-    Transport_sig.frames_sent = Atomic.get t.sent;
-    frames_received = Atomic.get t.received;
-    oversize_dropped = Atomic.get t.oversize;
-    undecodable = Atomic.get t.undecodable;
-    bytes_sent = Atomic.get t.bytes_sent;
-    bytes_received = Atomic.get t.bytes_received;
-    connects = 0;
-    silences = Transport_sig.Peers.silences t.book;
-  }
+(* ---- receiving: the owner drains the bound socket inside [poll] ---- *)
 
-(* ---- receiving: one reader thread over the bound socket ---- *)
+(* Read every datagram the socket holds, each decoded in isolation. The
+   socket is non-blocking, so the read that finds it empty ends the loop;
+   a zero-timeout [select] first would only add a system call. *)
+let rec receive t =
+  match Unix.recvfrom t.recv_fd t.buf 0 (Bytes.length t.buf) [] with
+  | exception Unix.Unix_error _ -> ()
+  | n, _ ->
+    (if n > 0 then
+       match Wire.decode (Bytes.sub_string t.buf 0 n) with
+       | Error _ -> Peers.undecodable t.book
+       | Ok frame ->
+         Peers.deliver t.book ~src:(Transport_sig.frame_src frame) frame n);
+    receive t
 
-let reader t =
-  let buf = Bytes.create (max_datagram + 1) in
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.recv_fd ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.recvfrom t.recv_fd buf 0 (Bytes.length buf) [] with
-      | 0, _ -> ()
-      | n, _ -> (
-        match Wire.decode (Bytes.sub_string buf 0 n) with
-        | Error _ -> Atomic.incr t.undecodable
-        | Ok frame ->
-          Atomic.incr t.received;
-          ignore (Atomic.fetch_and_add t.bytes_received n);
-          let src = Transport_sig.frame_src frame in
-          Transport_sig.Peers.heard t.book src;
-          Transport_sig.Peers.push t.book (Frame { src; frame }))
-      | exception _ -> if not (Atomic.get t.stop) then Unix.sleepf 0.01)
-    | exception _ -> if not (Atomic.get t.stop) then Unix.sleepf 0.01
-  done
+let poll t =
+  if Peers.idle t.book && not t.closed then receive t;
+  Peers.poll t.book
 
 (* ---- lifecycle ---- *)
 
 let create (cfg : Transport_sig.config) =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let recv_fd = Unix.socket PF_INET SOCK_DGRAM 0 in
+  let recv_fd = Unix.socket ~cloexec:true PF_INET SOCK_DGRAM 0 in
   Unix.setsockopt recv_fd SO_REUSEADDR true;
   (* a node drains its socket between protocol steps; buffer bursts
      (quorum-wide broadcasts x retransmits) rather than dropping them at
      the kernel on top of the loss we inject on purpose *)
   (try Unix.setsockopt_int recv_fd SO_RCVBUF (4 * 1024 * 1024)
-   with _ -> ());
+   with Unix.Unix_error _ -> ());
   (try
-     Unix.bind recv_fd (ADDR_INET (Unix.inet_addr_loopback, cfg.listen_port))
+     Unix.bind recv_fd (ADDR_INET (Unix.inet_addr_loopback, cfg.listen_port));
+     Unix.set_nonblock recv_fd
    with e ->
-     (try Unix.close recv_fd with _ -> ());
+     (try Unix.close recv_fd with Unix.Unix_error _ -> ());
      raise e);
-  let t =
-    {
-      cfg;
-      recv_fd;
-      peers =
-        List.map
-          (fun (id, addr) ->
-            { id; lock = Mutex.create (); fd = None; addr })
-          cfg.peers;
-      book = Transport_sig.Peers.create cfg;
-      stop = Atomic.make false;
-      sent = Atomic.make 0;
-      received = Atomic.make 0;
-      oversize = Atomic.make 0;
-      undecodable = Atomic.make 0;
-      bytes_sent = Atomic.make 0;
-      bytes_received = Atomic.make 0;
-      reader = None;
-    }
-  in
-  t.reader <- Some (Thread.create (fun () -> reader t) ());
-  t
+  {
+    recv_fd;
+    peers = List.map (fun (id, addr) -> { id; fd = None; addr }) cfg.peers;
+    book = Peers.create cfg;
+    buf = Bytes.create (max_datagram + 1);
+    closed = false;
+  }
 
 let close t =
-  if not (Atomic.exchange t.stop true) then begin
-    (match t.reader with
-    | Some th -> ( try Thread.join th with _ -> ())
-    | None -> ());
-    (try Unix.close t.recv_fd with _ -> ());
+  if not t.closed then begin
+    t.closed <- true;
+    (try Unix.close t.recv_fd with Unix.Unix_error _ -> ());
     List.iter
       (fun p ->
-        Mutex.lock p.lock;
-        (match p.fd with
-        | Some fd ->
-          (try Unix.close fd with _ -> ());
-          p.fd <- None
-        | None -> ());
-        Mutex.unlock p.lock)
+        Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) p.fd;
+        p.fd <- None)
       t.peers
   end

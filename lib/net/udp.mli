@@ -4,10 +4,12 @@
     Framing is trivial by design: {e one datagram carries exactly one}
     {!Wire.frame} payload (version byte first, no length prefix — the
     datagram boundary is the frame boundary). Sends go out on per-peer
-    {e connected} datagram sockets opened lazily; a single reader thread
-    drains the bound receive socket, decodes each datagram in isolation
-    (an undecodable one is counted and dropped, never fatal), and feeds
-    the shared event queue. A frame whose encoding exceeds
+    {e connected} datagram sockets opened lazily; the receive socket gets a
+    large [SO_RCVBUF]. There is no thread:
+    when no event is queued, {!poll} drains the non-blocking receive
+    socket, decodes each datagram in isolation (an undecodable one is
+    counted and dropped, never fatal), and feeds the shared event queue.
+    A frame whose encoding exceeds
     {!max_datagram} is refused at send time and counted in
     [stats.oversize_dropped] — senders must chunk (the service daemon
     chunks its trace batches for exactly this reason).
@@ -18,18 +20,6 @@
     quiet. *)
 
 val max_datagram : int
-(** Largest payload accepted for a single send (65507 = the UDP/IPv4
-    maximum). *)
+(** Largest payload accepted for one send: 65507, the UDP/IPv4 maximum. *)
 
-type t
-
-val create : Transport_sig.config -> t
-(** Binds the receive socket (with a large [SO_RCVBUF]) and starts the
-    reader thread.
-    @raise Unix.Unix_error if the port cannot be bound. *)
-
-val send : t -> dst:int -> Wire.frame -> unit
-val broadcast : t -> Wire.frame -> unit
-val poll : t -> Transport_sig.event option
-val stats : t -> Transport_sig.stats
-val close : t -> unit
+include Transport_sig.S

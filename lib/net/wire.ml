@@ -561,54 +561,63 @@ let decode s =
   | frame -> Ok frame
   | exception Bad e -> Error e
 
-(* ---- framed fd IO ---- *)
+(* ---- stream framing ---- *)
 
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let rec go off =
-    if off < len then
-      let n = Unix.write fd bytes off (len - off) in
-      go (off + n)
-  in
-  go 0
-
-let write_frame_count fd frame =
+let framed frame =
   let payload = encode frame in
   let len = String.length payload in
   let out = Bytes.create (4 + len) in
   Bytes.set_int32_be out 0 (Int32.of_int len);
   Bytes.blit_string payload 0 out 4 len;
-  write_all fd out;
-  4 + len
+  Bytes.unsafe_to_string out
 
-let write_frame fd frame = ignore (write_frame_count fd frame)
+module Splitter = struct
+  let capacity = 4 + max_frame
+  let initial = 65536
 
-(* Reads exactly [len] bytes; [None] on EOF (clean close mid-read is also
-   just EOF for our purposes). *)
-let read_exact fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off = len then Some buf
+  (* the buffered bytes are [buf.[off .. off + len - 1]] *)
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
+  let create () = { buf = Bytes.create initial; off = 0; len = 0 }
+  let buffered t = t.len
+
+  (* the length prefix at the head of the buffer; only read once 4 bytes
+     are in *)
+  let declared t = Int32.to_int (Bytes.get_int32_be t.buf t.off)
+
+  let fill t read =
+    let size = Bytes.length t.buf in
+    if t.off + t.len = size then begin
+      (* no room at the tail: move the partial frame to the front, into a
+         larger buffer when it fills this one (at most [capacity]) *)
+      let size =
+        if t.len < size then size else min capacity (max (2 * size) (4 + declared t))
+      in
+      let buf = if size > Bytes.length t.buf then Bytes.create size else t.buf in
+      Bytes.blit t.buf t.off buf 0 t.len;
+      t.buf <- buf;
+      t.off <- 0
+    end;
+    let n = read t.buf (t.off + t.len) (Bytes.length t.buf - t.off - t.len) in
+    t.len <- t.len + n;
+    n
+
+  let next t =
+    if t.len < 4 then None
     else
-      match Unix.read fd buf off (len - off) with
-      | 0 -> None
-      | n -> go (off + n)
-  in
-  go 0
-
-let read_frame_count fd =
-  match read_exact fd 4 with
-  | None -> Error "eof"
-  | Some hdr ->
-    let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-    if len < 0 || len > max_frame then
-      Error (Printf.sprintf "bad frame length %d" len)
-    else (
-      match read_exact fd len with
-      | None -> Error "eof inside frame"
-      | Some payload ->
-        Result.map
-          (fun frame -> (frame, 4 + len))
-          (decode (Bytes.unsafe_to_string payload)))
-
-let read_frame fd = Result.map fst (read_frame_count fd)
+      let len = declared t in
+      if len < 0 || len > max_frame then
+        Some (Error (Printf.sprintf "bad frame length %d" len))
+      else if t.len < 4 + len then None
+      else begin
+        let payload = Bytes.sub_string t.buf (t.off + 4) len in
+        t.off <- t.off + 4 + len;
+        t.len <- t.len - 4 - len;
+        if t.len = 0 then begin
+          t.off <- 0;
+          (* give back the room a large frame needed *)
+          if Bytes.length t.buf > initial then t.buf <- Bytes.create initial
+        end;
+        Some (Result.map (fun frame -> (frame, 4 + len)) (decode payload))
+      end
+end

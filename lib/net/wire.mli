@@ -105,20 +105,36 @@ val encode_message : Dmx_core.Messages.t -> string
 val decode_message : string -> (Dmx_core.Messages.t, string) result
 (** Inverse of {!encode_message}; total, like {!decode}. *)
 
-(** {2 Framed IO on file descriptors} *)
+(** {2 Stream framing} *)
 
-val write_frame : Unix.file_descr -> frame -> unit
-(** Length-prefix + payload, written fully (loops on short writes).
-    @raise Unix.Unix_error as [Unix.write] does — callers treat any
-    failure as a dead connection. *)
+val framed : frame -> string
+(** The bytes a stream transport writes for one frame: the 4-byte
+    big-endian length prefix, then {!encode}'s payload. *)
 
-val read_frame : Unix.file_descr -> (frame, string) result
-(** Blocking read of exactly one frame. [Error] on EOF, a corrupt length
-    prefix, or a payload {!decode} rejects. *)
+(** Splits a byte stream back into frames: one per inbound connection,
+    fed by non-blocking reads. It never buffers more than {!capacity}
+    bytes: one maximal frame plus its length prefix. *)
+module Splitter : sig
+  type t
 
-val write_frame_count : Unix.file_descr -> frame -> int
-(** {!write_frame}, returning the bytes put on the wire (length prefix
-    included) — the transports' byte counters read this. *)
+  val capacity : int  (** [4 + max_frame] *)
 
-val read_frame_count : Unix.file_descr -> (frame * int, string) result
-(** {!read_frame}, with the bytes consumed from the wire. *)
+  val create : unit -> t
+
+  val buffered : t -> int
+  (** Bytes received but not yet returned as a frame. *)
+
+  val fill : t -> (Bytes.t -> int -> int -> int) -> int
+  (** [fill t read] calls [read buf off len] once, with [len > 0] and
+      [buffered t + len <= capacity], and returns what [read] returned:
+      the bytes it stored at [buf.[off]], [0] meaning end of stream (as
+      [Unix.read] does). Call {!next} until [None] first: a buffer
+      holding a complete maximal frame has no room left. *)
+
+  val next : t -> (frame * int, string) result option
+  (** The next complete frame and the bytes it took on the wire (length
+      prefix included); [None] while it is incomplete. [Error] on a
+      length prefix above {!max_frame} or a payload {!decode} rejects:
+      the stream is corrupt from there on, and its connection should be
+      dropped. *)
+end

@@ -39,7 +39,8 @@ let () =
       ("obs", Test_obs.suite);
       ("wire", Test_wire.suite);
       ("chaos", Test_chaos.suite);
-      ("udp", Test_udp.suite);
+      ("udp", Test_transport.suite "udp");
+      ("tcp", Test_transport.suite "tcp");
       ("cluster", Test_cluster.suite);
       ("lease", Test_lease.suite);
       ("service", Test_service.suite);

@@ -367,6 +367,112 @@ let prop_oversize_batch_stays_in_datagram =
       let enc = Wire.encode (Wire.Strace { shard = 0; site = 0; entries }) in
       String.length enc <= Dmx_net.Udp.max_datagram)
 
+(* ---- the stream splitter ---- *)
+
+module Sp = Wire.Splitter
+
+(* Feed [stream] to a splitter in chunks of the given sizes (cycled; the
+   splitter may take less than offered), collecting what [next] returns
+   until the stream is consumed or an error ends it. Fails if a [fill]
+   ever offers room beyond [capacity]. *)
+let split_stream stream sizes =
+  let sp = Sp.create () in
+  let pos = ref 0 and sizes = ref sizes and out = ref [] and stop = ref false in
+  let next_size () =
+    match !sizes with
+    | s :: rest ->
+      sizes := rest @ [ s ];
+      s
+    | [] -> String.length stream
+  in
+  let rec drain () =
+    match Sp.next sp with
+    | None -> ()
+    | Some (Error _ as e) ->
+      out := e :: !out;
+      stop := true
+    | Some (Ok _ as f) ->
+      out := f :: !out;
+      drain ()
+  in
+  while (not !stop) && !pos < String.length stream do
+    let chunk = min (next_size ()) (String.length stream - !pos) in
+    let got =
+      Sp.fill sp (fun buf off len ->
+          if len <= 0 || Sp.buffered sp + len > Sp.capacity then
+            QCheck.Test.fail_reportf "fill offered %d bytes with %d buffered"
+              len (Sp.buffered sp);
+          let n = min len chunk in
+          Bytes.blit_string stream !pos buf off n;
+          n)
+    in
+    pos := !pos + got;
+    drain ()
+  done;
+  (List.rev !out, Sp.buffered sp)
+
+let prop_splitter_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"splitter: chunked stream round-trips"
+    (QCheck.make
+       ~print:(fun (fs, sizes) ->
+         Printf.sprintf "[%s] in chunks [%s]"
+           (String.concat "; " (List.map frame_print fs))
+           (String.concat "; " (List.map string_of_int sizes)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 12) frame_gen)
+           (list_size (int_range 1 6) (int_range 1 300))))
+    (fun (frames, sizes) ->
+      let stream = String.concat "" (List.map Wire.framed frames) in
+      let got, left = split_stream stream sizes in
+      left = 0
+      && List.length got = List.length frames
+      && List.for_all2
+           (fun f r ->
+             match r with
+             | Ok (f', n) -> f = f' && n = String.length (Wire.framed f)
+             | Error _ -> false)
+           frames got)
+
+let prop_splitter_noise =
+  QCheck.Test.make ~count:2000 ~name:"splitter: random bytes never raise"
+    (QCheck.make
+       ~print:(fun (s, _) -> Printf.sprintf "%d noise bytes" (String.length s))
+       QCheck.Gen.(
+         pair
+           (string_size ~gen:char (int_range 0 512))
+           (list_size (int_range 1 4) (int_range 1 64))))
+    (fun (s, sizes) ->
+      let _, left = split_stream s sizes in
+      left <= Sp.capacity)
+
+let prop_splitter_corrupt =
+  (* a good frame, then either a length prefix above [max_frame] or a
+     well-framed body that does not decode: the good frame comes out,
+     then the error, and nothing after it *)
+  QCheck.Test.make ~count:500 ~name:"splitter: corrupt frame ends the stream"
+    (QCheck.make
+       ~print:(fun (f, big, _) ->
+         Printf.sprintf "%s then %s" (frame_print f)
+           (if big then "an oversize prefix" else "an undecodable body"))
+       QCheck.Gen.(triple frame_gen bool (int_range 1 64)))
+    (fun (f, big, chunk) ->
+      let bad =
+        let b = Bytes.create 8 in
+        if big then
+          Bytes.set_int32_be b 0 (Int32.of_int (Wire.max_frame + 1))
+        else begin
+          Bytes.set_int32_be b 0 4l;
+          (* a version byte the decoder refuses *)
+          Bytes.set_int32_be b 4 0xff000000l
+        end;
+        Bytes.to_string b
+      in
+      let stream = Wire.framed f ^ bad ^ Wire.framed f in
+      match split_stream stream [ chunk ] with
+      | [ Ok (f', _); Error _ ], _ -> f = f'
+      | _ -> false)
+
 (* ---- unit cases: sentinels, max sizes, version gate, framed IO ---- *)
 
 let check_msg m =
@@ -457,8 +563,26 @@ let test_retired_tags_rejected () =
       | Ok f -> Alcotest.failf "retired %s decoded as %s" what (frame_print f))
     [ ("Proto", proto); ("Trace_batch", trace_batch) ]
 
+(* read [fd] through a splitter, to end of stream or the first error *)
+let split_fd fd =
+  let sp = Sp.create () in
+  let rec go acc =
+    match Sp.next sp with
+    | Some (Ok _ as r) -> go (r :: acc)
+    | Some (Error _ as r) -> List.rev (r :: acc)
+    | None -> if Sp.fill sp (Unix.read fd) = 0 then List.rev acc else go acc
+  in
+  go []
+
+let write_string fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
 let test_framed_io () =
-  (* write_frame/read_frame over a pipe, several frames back-to-back *)
+  (* framed frames over a pipe, several back-to-back, split on the far side *)
   let frames =
     [
       Wire.Hello { site = 3; inc = 1.5 };
@@ -483,18 +607,16 @@ let test_framed_io () =
     ]
   in
   let rd, wr = Unix.pipe () in
-  List.iter (Wire.write_frame wr) frames;
+  write_string wr (String.concat "" (List.map Wire.framed frames));
   Unix.close wr;
-  List.iter
-    (fun expect ->
-      match Wire.read_frame rd with
-      | Ok got -> Alcotest.(check bool) (frame_print expect) true (got = expect)
-      | Error e -> Alcotest.failf "read_frame: %s" e)
-    frames;
-  (match Wire.read_frame rd with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "read past EOF succeeded");
-  Unix.close rd
+  let got = split_fd rd in
+  Unix.close rd;
+  Alcotest.(check int) "frame count" (List.length frames) (List.length got);
+  List.iter2
+    (fun expect -> function
+      | Ok (got, _) -> Alcotest.(check bool) (frame_print expect) true (got = expect)
+      | Error e -> Alcotest.failf "splitter: %s" e)
+    frames got
 
 let test_oversize_length_rejected () =
   let rd, wr = Unix.pipe () in
@@ -502,10 +624,43 @@ let test_oversize_length_rejected () =
   Bytes.set_int32_be hdr 0 (Int32.of_int (Wire.max_frame + 1));
   ignore (Unix.write wr hdr 0 4);
   Unix.close wr;
-  (match Wire.read_frame rd with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversize frame accepted");
+  (match split_fd rd with
+  | [ Error _ ] -> ()
+  | _ -> Alcotest.fail "oversize frame accepted");
   Unix.close rd
+
+let test_splitter_bound () =
+  (* a maximal frame's prefix, then bytes for as long as the splitter
+     takes them: it stops at exactly one maximal frame plus its header *)
+  let sp = Sp.create () in
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int Wire.max_frame);
+  ignore
+    (Sp.fill sp (fun buf off _ ->
+         Bytes.blit hdr 0 buf off 4;
+         4));
+  let rec go () =
+    if Sp.buffered sp < Sp.capacity then begin
+      ignore
+        (Sp.fill sp (fun buf off len ->
+             if Sp.buffered sp + len > Sp.capacity then
+               Alcotest.failf "fill offered %d bytes with %d buffered" len
+                 (Sp.buffered sp);
+             Bytes.fill buf off len '\000';
+             len));
+      if Sp.buffered sp < Sp.capacity then
+        Alcotest.(check bool) "incomplete frame held back" true
+          (Sp.next sp = None);
+      go ()
+    end
+  in
+  go ();
+  Alcotest.(check int) "one maximal frame plus its header" Sp.capacity
+    (Sp.buffered sp);
+  (* a zero version byte does not decode *)
+  match Sp.next sp with
+  | Some (Error _) -> ()
+  | _ -> Alcotest.fail "zero-filled maximal frame decoded"
 
 (* ---- the message printer ---- *)
 
@@ -555,6 +710,9 @@ let suite =
       prop_fused_datagram_rejected;
       prop_noise_never_raises;
       prop_oversize_batch_stays_in_datagram;
+      prop_splitter_roundtrip;
+      prop_splitter_noise;
+      prop_splitter_corrupt;
     ]
   @ [
       Alcotest.test_case "sentinel values round-trip" `Quick test_sentinels;
@@ -566,4 +724,6 @@ let suite =
       Alcotest.test_case "framed io over a pipe" `Quick test_framed_io;
       Alcotest.test_case "oversize length prefix rejected" `Quick
         test_oversize_length_rejected;
+      Alcotest.test_case "splitter holds at most one maximal frame" `Quick
+        test_splitter_bound;
     ]
