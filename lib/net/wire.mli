@@ -15,7 +15,14 @@
     than its own, and a transport that receives such a frame closes the
     connection — a mixed-version cluster fails fast instead of
     misinterpreting bytes. Decoding is total: any truncated, trailing or
-    corrupt input yields [Error], never an exception or a garbage value. *)
+    corrupt input yields [Error], never an exception or a garbage value.
+
+    Inside, each frame, message, trace kind and metric series is laid
+    out once, as a codec value that holds both its writer and its reader,
+    so the two cannot disagree. Every check lives in the codec's few
+    primitives: bounds, known tags, integers inside OCaml's 63-bit range,
+    exact consumption, and one count rule — a list or array count larger
+    than the bytes left is rejected before any element is read. *)
 
 val version : int
 (** Current codec version (2). Version 2 retired v1's single-protocol
