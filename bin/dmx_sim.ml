@@ -338,9 +338,9 @@ let check_arg =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Verify every run post-hoc with the trace oracle (mutex, quorum \
-           consistency, permission conservation, FIFO); exit nonzero on \
-           rejection.")
+          "Verify every run with the trace oracle, fed as the run records \
+           (mutex, quorum consistency, permission conservation, FIFO); exit \
+           nonzero on rejection.")
 
 let jobs_arg =
   Arg.(
@@ -453,8 +453,7 @@ let run_cmd =
           make_cfg ~faults ~det n seed execs warmup cs delay workload crashes
             detect
         in
-        let r = runner.R.run cfg in
-        finish r runner.R.variant
+        finish (R.run_reporting runner cfg) runner.R.variant
   in
   let term =
     Term.(
@@ -764,33 +763,25 @@ let replay_cmd =
             Buffer.add_string buf (Dmx_sim.Schedule.to_string sched);
             Format.fprintf ppf "---@.%a@." E.pp_report report
           end;
-          (* same per-fault relaxation as Runner.checked: FIFO and custody
-             assumptions do not survive crash/recovery or duplication *)
-          let crashy = sched.Dmx_sim.Schedule.crashes <> [] in
-          let dupy =
-            sched.Dmx_sim.Schedule.faults.Dmx_sim.Network.duplication > 0.0
-          in
           let verdict =
             Dmx_sim.Oracle.check_trace
-              {
-                (Dmx_sim.Oracle.default ~n:sched.Dmx_sim.Schedule.n) with
-                Dmx_sim.Oracle.fifo = not (crashy || dupy);
-                custody = not crashy;
-              }
+              (R.oracle_config (Dmx_sim.Schedule.to_engine_config sched))
               trace
           in
           (match tail with
           | Some k ->
-            let entries = Dmx_sim.Trace.entries trace in
-            let total = List.length entries in
+            let total = Dmx_sim.Trace.length trace in
             let drop = if k <= 0 then 0 else max 0 (total - k) in
             if drop > 0 then
               Format.fprintf ppf "... (%d earlier entries)@." drop;
-            List.iteri
-              (fun i e ->
-                if i >= drop then
-                  Format.fprintf ppf "%a@." Dmx_sim.Trace.pp_entry e)
-              entries
+            let i = ref 0 in
+            Dmx_sim.Trace.iter
+              (fun ~time ~site kind ->
+                if !i >= drop then
+                  Format.fprintf ppf "%a@." Dmx_sim.Trace.pp_entry
+                    { Dmx_sim.Trace.time; site; kind };
+                incr i)
+              trace
           | None -> ());
           Format.fprintf ppf "%a@." Dmx_sim.Oracle.pp_verdict verdict;
           if

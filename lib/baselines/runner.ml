@@ -17,42 +17,40 @@ type t = {
 let always_check = Atomic.make false
 let check_failures = Atomic.make 0
 
-(* A checked run records the full trace and pipes it through the Oracle;
-   violations go to stderr and bump [check_failures] so drivers (bench,
-   CLI) can exit nonzero at the end. The large capacity keeps the biggest
-   bench scenarios un-truncated; if one still overflows, the oracle
-   refuses to certify, and an uncertified run counts as a failed check
-   rather than silently passing. The FIFO
-   and custody checks are relaxed exactly where their assumptions break
-   (see Oracle.config): crashed-and-recovered sites reuse reliability
-   sequence numbers and keep volatile possessions, and duplicated copies
-   take independent delays. *)
-let checked ~name run_traced (cfg : E.config) =
+(* The FIFO and custody checks are relaxed exactly where their
+   assumptions break (see Oracle.config): crashed-and-recovered sites
+   reuse reliability sequence numbers and keep volatile possessions, and
+   duplicated copies take independent delays. *)
+let oracle_config (cfg : E.config) =
+  let crashy = cfg.E.crashes <> [] in
+  let dupy = cfg.E.faults.Dmx_sim.Network.duplication > 0.0 in
+  {
+    (Oracle.default ~n:cfg.E.n) with
+    Oracle.fifo = not (crashy || dupy);
+    custody = not crashy;
+  }
+
+(* A checked run feeds the Oracle as the engine records, through a
+   streaming collector: no trace is stored, so a run of any length is
+   checked. Violations go to stderr and bump [check_failures] so drivers
+   (bench, CLI) can exit nonzero at the end. *)
+let checked ?(verbose = false) ~name run_traced (cfg : E.config) =
   if not (Atomic.get always_check) then run_traced ?trace_sink:None cfg
   else begin
-    let sink = Trace.create ~enabled:true ~capacity:4_000_000 () in
+    let oracle = Oracle.create (oracle_config cfg) in
+    let sink = Trace.stream (Oracle.feed oracle) in
     let r = run_traced ?trace_sink:(Some sink) cfg in
-    let crashy = cfg.E.crashes <> [] in
-    let dupy = cfg.E.faults.Dmx_sim.Network.duplication > 0.0 in
-    let ocfg =
-      {
-        (Oracle.default ~n:cfg.E.n) with
-        Oracle.fifo = not (crashy || dupy);
-        custody = not crashy;
-      }
-    in
-    let v = Oracle.check_trace ocfg sink in
+    let v = Oracle.finish oracle in
+    let ok = Oracle.ok v in
+    if not ok then ignore (Atomic.fetch_and_add check_failures 1);
     (* Render first, then emit with a single write: concurrent checked
        runs must not interleave partial lines on stderr. *)
-    let complain () =
-      prerr_string (Format.asprintf "oracle[%s]: %a@." name Oracle.pp_verdict v)
-    in
-    if v.Oracle.truncated || v.Oracle.violations <> [] then begin
-      ignore (Atomic.fetch_and_add check_failures 1);
-      complain ()
-    end;
+    if verbose || not ok then
+      prerr_string (Format.asprintf "oracle[%s]: %a@." name Oracle.pp_verdict v);
     r
   end
+
+let run_reporting t cfg = checked ~verbose:true ~name:t.name t.run_traced cfg
 
 let make ~name ~variant run_traced =
   { name; variant; run_traced; run = checked ~name run_traced }

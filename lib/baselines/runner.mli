@@ -19,16 +19,25 @@ type t = {
 }
 
 val always_check : bool Atomic.t
-(** When set, every {!field-run} records a full trace and pipes it through
-    {!Dmx_sim.Oracle.check_trace}; violations, and traces too long to
-    certify, are printed to stderr and counted in {!check_failures}. Default [false] (zero overhead).
+(** When set, every {!field-run} feeds {!Dmx_sim.Oracle} as the engine
+    records (through {!Dmx_sim.Trace.stream}, storing no trace) with
+    {!oracle_config}'s relaxations; violations are printed to stderr and
+    counted in {!check_failures}. Default [false] (zero overhead).
     Atomic because checked runs may execute on several domains under
     {!Dmx_sim.Pool}; set it once before fanning out. *)
 
+val run_reporting : t -> Dmx_sim.Engine.config -> Dmx_sim.Engine.report
+(** {!field-run}, except that under {!always_check} the oracle's verdict
+    line goes to stderr when the run passes too. *)
+
+val oracle_config : Dmx_sim.Engine.config -> Dmx_sim.Oracle.config
+(** {!Dmx_sim.Oracle.default} with FIFO off under crashes or duplication
+    and custody off under crashes, where their assumptions break (see
+    {!Dmx_sim.Oracle.config}). *)
+
 val check_failures : int Atomic.t
-(** Number of oracle-rejected or uncertified (truncated) runs since
-    startup; drivers exit nonzero when
-    this is positive at the end. Safe to bump from worker domains. *)
+(** Number of oracle-rejected runs since startup; drivers exit nonzero
+    when this is positive at the end. Safe to bump from worker domains. *)
 
 val delay_optimal : ?kind:Dmx_quorum.Builder.kind -> n:int -> unit -> t
 (** Default quorum: [Grid]. *)

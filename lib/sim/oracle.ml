@@ -1,5 +1,6 @@
-(* Post-hoc trace checker: replays a completed run's trace and validates
-   the paper's global invariants. See oracle.mli for the catalogue. *)
+(* Online trace checker: consumes a run's trace one entry at a time and
+   validates the paper's global invariants. See oracle.mli for the
+   catalogue. *)
 
 type config = {
   n : int;
@@ -44,326 +45,327 @@ let pp_verdict ppf v =
 let set_to_string xs =
   "{" ^ String.concat "," (List.map string_of_int (List.sort compare xs)) ^ "}"
 
-(* ---- per-channel FIFO ---- *)
+(* ---- the online checker ---- *)
 
 (* Channels are FIFO per (src, dst): receives must appear in send order.
    Losses and crashes make gaps (a send with no receive) and duplication
    makes stutters (the same send received twice, adjacently by the
    network's watermark rule); both are legal. An out-of-order receive is
-   not. The match is greedy on the message's printed form: for each
-   receive, in order, accept a repeat of the previous matched send or scan
-   forward to the next send with the same text. *)
-let check_fifo ~push sends recvs =
-  let sends = Array.of_list sends in
-  let cursor = ref 0 in
-  let last = ref None in
-  List.iter
-    (fun (rt, rsite, msg) ->
-      let matched_dup =
-        match !last with Some (_, m) when m = msg -> true | _ -> false
-      in
-      let rec scan i =
-        if i >= Array.length sends then None
-        else
-          let st, smsg = sends.(i) in
-          if smsg = msg then Some (i, st) else scan (i + 1)
-      in
-      match scan !cursor with
-      | Some (i, st) ->
-        cursor := i + 1;
-        last := Some (st, msg);
-        if st > rt +. 1e-9 then
-          push
+   not. The match is greedy on the message's printed form: each receive
+   pops forward to the next unconsumed send with the same text, or else
+   repeats the previous match. A receive can only be matched against
+   sends already made, so a channel holds just its unconsumed sends:
+   those in flight, plus any lost ones a later receive has not yet
+   skipped. *)
+type channel = { unconsumed : string Queue.t; mutable last : string option }
+
+type t = {
+  cfg : config;
+  mutable violations : violation list;  (** newest first *)
+  mutable in_cs : int list;
+  holder : int option array;
+      (** site currently possessing arbiter a's permission, if any *)
+  adopted : int list option array;
+      (** quorum adopted by each site's latest request *)
+  pending : float array;
+      (** fairness: issue time of each site's outstanding request *)
+  overtaken : int array;
+      (** how often a younger request entered the CS before it *)
+  channels : (int, channel) Hashtbl.t;
+      (** keyed [src * n + dst]; a channel with an endpoint outside the
+          n-site system has no key and goes unchecked, as the custody
+          checks ignore out-of-range arbiters *)
+  mutable cs_entries : int;
+  mutable messages : int;
+  mutable count : int;
+}
+
+let create cfg =
+  let n = cfg.n in
+  {
+    cfg;
+    violations = [];
+    in_cs = [];
+    holder = Array.make n None;
+    adopted = Array.make n None;
+    pending = Array.make n Float.nan;
+    overtaken = Array.make n 0;
+    channels = Hashtbl.create 64;
+    cs_entries = 0;
+    messages = 0;
+    count = 0;
+  }
+
+let push t v = t.violations <- v :: t.violations
+
+let channel t key =
+  match Hashtbl.find_opt t.channels key with
+  | Some c -> c
+  | None ->
+    let c = { unconsumed = Queue.create (); last = None } in
+    Hashtbl.add t.channels key c;
+    c
+
+(* Drop the unconsumed sends up to and including the first one reading
+   [msg]; false, leaving the queue alone, when there is none. *)
+let consume q msg =
+  let rec find i s =
+    match s () with
+    | Seq.Nil -> None
+    | Seq.Cons (m, s) -> if String.equal m msg then Some i else find (i + 1) s
+  in
+  match find 0 (Queue.to_seq q) with
+  | None -> false
+  | Some i ->
+    for _ = 0 to i do
+      ignore (Queue.take q)
+    done;
+    true
+
+let receive t ~time ~site c msg =
+  if consume c.unconsumed msg then c.last <- Some msg
+  else
+    match c.last with
+    | Some m when String.equal m msg -> ()
+    | _ ->
+      push t
+        {
+          time;
+          site;
+          what =
+            Printf.sprintf
+              "FIFO: received %S out of channel order (no unconsumed \
+               matching send)"
+              msg;
+        }
+
+let in_range n s = s >= 0 && s < n
+
+let feed t ~time ~site kind =
+  let cfg = t.cfg in
+  let n = cfg.n in
+  t.count <- t.count + 1;
+  match kind with
+  | Trace.Enter_cs ->
+    List.iter
+      (fun other ->
+        push t
+          {
+            time;
+            site;
+            what =
+              Printf.sprintf "MUTEX: CS entry while site %d is in the CS" other;
+          })
+      t.in_cs;
+    t.in_cs <- site :: t.in_cs;
+    (match t.adopted.(site) with
+    | Some q when cfg.custody ->
+      let missing = List.filter (fun a -> t.holder.(a) <> Some site) q in
+      if missing <> [] then
+        push t
+          {
+            time;
+            site;
+            what =
+              Printf.sprintf
+                "QUORUM: CS entry without permissions %s of quorum %s"
+                (set_to_string missing) (set_to_string q);
+          }
+    | _ -> ());
+    (match cfg.max_overtake with
+    | Some bound ->
+      if not (Float.is_nan t.pending.(site)) then
+        for s = 0 to n - 1 do
+          if
+            s <> site
+            && (not (Float.is_nan t.pending.(s)))
+            && t.pending.(s) < t.pending.(site)
+          then begin
+            t.overtaken.(s) <- t.overtaken.(s) + 1;
+            if t.overtaken.(s) = bound + 1 then
+              push t
+                {
+                  time;
+                  site = s;
+                  what =
+                    Printf.sprintf
+                      "FAIRNESS: request pending since %.4f overtaken %d \
+                       times (bound %d)"
+                      t.pending.(s) t.overtaken.(s) bound;
+                }
+          end
+        done
+    | None -> ());
+    t.pending.(site) <- Float.nan;
+    t.overtaken.(site) <- 0
+  | Trace.Exit_cs ->
+    t.cs_entries <- t.cs_entries + 1;
+    t.in_cs <- List.filter (fun s -> s <> site) t.in_cs
+  | Trace.Request -> t.pending.(site) <- time
+  | Trace.Adopt_quorum q ->
+    List.iter
+      (fun a ->
+        if a < 0 || a >= n then
+          push t
             {
-              time = rt;
-              site = rsite;
-              what =
-                Printf.sprintf "FIFO: %S received before it was sent (%.4f)"
-                  msg st;
-            }
-      | None ->
-        if not matched_dup then
-          push
+              time;
+              site;
+              what = Printf.sprintf "QUORUM: adopted out-of-range arbiter %d" a;
+            })
+      q;
+    for s = 0 to n - 1 do
+      match t.adopted.(s) with
+      | Some q' when s <> site ->
+        if not (List.exists (fun a -> List.mem a q') q) then
+          push t
             {
-              time = rt;
-              site = rsite;
+              time;
+              site;
               what =
                 Printf.sprintf
-                  "FIFO: received %S out of channel order (no unconsumed \
-                   matching send)"
-                  msg;
-            })
-    recvs
+                  "COTERIE: quorum %s of site %d and quorum %s of site %d do \
+                   not intersect"
+                  (set_to_string q) site (set_to_string q') s;
+            }
+      | _ -> ()
+    done;
+    t.adopted.(site) <- Some q
+  | Trace.Acquire { arbiter } when arbiter >= 0 && arbiter < n ->
+    (match t.holder.(arbiter) with
+    | Some other when other <> site && cfg.custody ->
+      push t
+        {
+          time;
+          site;
+          what =
+            Printf.sprintf
+              "CUSTODY: acquired permission of %d while site %d still holds \
+               it"
+              arbiter other;
+        }
+    | _ -> ());
+    t.holder.(arbiter) <- Some site
+  | Trace.Acquire _ -> ()
+  | Trace.Cede { arbiter } ->
+    if arbiter >= 0 && arbiter < n && t.holder.(arbiter) = Some site then
+      t.holder.(arbiter) <- None
+  | Trace.Forward { arbiter; to_ } ->
+    if arbiter >= 0 && arbiter < n then begin
+      (match t.holder.(arbiter) with
+      | Some h when h = site -> ()
+      | _ when not cfg.custody -> ()
+      | _ ->
+        push t
+          {
+            time;
+            site;
+            what =
+              Printf.sprintf
+                "CUSTODY: forwarded permission of %d to %d without holding it"
+                arbiter to_;
+          });
+      t.holder.(arbiter) <- None
+    end
+  | Trace.Grant { to_ } ->
+    if site >= 0 && site < n then begin
+      match t.holder.(site) with
+      | Some h when cfg.custody ->
+        push t
+          {
+            time;
+            site;
+            what =
+              Printf.sprintf
+                "CUSTODY: arbiter granted its permission to %d while site %d \
+                 still holds it"
+                to_ h;
+          }
+      | _ -> ()
+    end
+  | Trace.Send { dst; msg } ->
+    if dst <> site then begin
+      t.messages <- t.messages + 1;
+      if cfg.fifo && in_range n site && in_range n dst then
+        Queue.push msg (channel t ((site * n) + dst)).unconsumed
+    end
+  | Trace.Receive { src; msg } ->
+    if cfg.fifo && src <> site && in_range n src && in_range n site then
+      receive t ~time ~site (channel t ((src * n) + site)) msg
+  | Trace.Crash ->
+    (* fail-stop: volatile possession dies with the site, and so does any
+       authority memory of its arbiter role *)
+    t.in_cs <- List.filter (fun s -> s <> site) t.in_cs;
+    for a = 0 to n - 1 do
+      if t.holder.(a) = Some site then t.holder.(a) <- None
+    done;
+    if site >= 0 && site < n then begin
+      t.holder.(site) <- None;
+      t.adopted.(site) <- None;
+      t.pending.(site) <- Float.nan;
+      t.overtaken.(site) <- 0
+    end
+  | Trace.Recover | Trace.Timer _ | Trace.Drop _ | Trace.Duplicate _
+  | Trace.Partition _ | Trace.Suspect _ | Trace.Trust _ | Trace.Note _ ->
+    ()
 
-(* One pass over a chronological stream, given as its iterator: the list
-   form ([check]) and the collector's flat arrays ([check_trace]) share it,
-   so the collector's entries never have to be built as a list. *)
-let scan (cfg : config) ~truncated
-    ~(iter : (time:float -> site:int -> Trace.kind -> unit) -> unit) =
-  let violations = ref [] in
-  let push v = violations := v :: !violations in
-  let n = cfg.n in
-  if truncated then
-    let count = ref 0 in
-    iter (fun ~time:_ ~site:_ _ -> incr count);
-    {
-      violations = [];
-      entries_checked = !count;
-      cs_entries = 0;
-      messages = 0;
-      truncated = true;
-    }
-  else begin
-    (* mutex *)
-    let in_cs = ref [] in
-    (* permission custody: holder.(a) = site currently possessing arbiter
-       a's permission, if any *)
-    let holder = Array.make n None in
-    (* quorum adopted by each site's latest request *)
-    let adopted = Array.make n None in
-    (* fairness: issue time of each site's outstanding request, and how
-       often a younger request entered the CS before it *)
-    let pending = Array.make n Float.nan in
-    let overtaken = Array.make n 0 in
-    (* channels for the FIFO check, keyed [src * n + dst]; a channel with
-       an endpoint outside the n-site system has no key and goes unchecked,
-       as the custody checks ignore out-of-range arbiters *)
-    let sends : (int, (float * string) list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let recvs : (int, (float * int * string) list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let in_range s = s >= 0 && s < n in
-    let channel tbl key =
-      match Hashtbl.find_opt tbl key with
-      | Some l -> l
-      | None ->
-        let l = ref [] in
-        Hashtbl.add tbl key l;
-        l
-    in
-    let cs_entries = ref 0 in
-    let messages = ref 0 in
-    let count = ref 0 in
-    iter (fun ~time ~site kind ->
-        incr count;
-        match kind with
-        | Trace.Enter_cs ->
-          List.iter
-            (fun other ->
-              push
-                {
-                  time;
-                  site;
-                  what =
-                    Printf.sprintf "MUTEX: CS entry while site %d is in the CS"
-                      other;
-                })
-            !in_cs;
-          in_cs := site :: !in_cs;
-          (match adopted.(site) with
-          | Some q when cfg.custody ->
-            let missing =
-              List.filter (fun a -> holder.(a) <> Some site) q
-            in
-            if missing <> [] then
-              push
-                {
-                  time;
-                  site;
-                  what =
-                    Printf.sprintf
-                      "QUORUM: CS entry without permissions %s of quorum %s"
-                      (set_to_string missing) (set_to_string q);
-                }
-          | _ -> ());
-          (match cfg.max_overtake with
-          | Some bound ->
-            if not (Float.is_nan pending.(site)) then
-              for s = 0 to n - 1 do
-                if
-                  s <> site
-                  && (not (Float.is_nan pending.(s)))
-                  && pending.(s) < pending.(site)
-                then begin
-                  overtaken.(s) <- overtaken.(s) + 1;
-                  if overtaken.(s) = bound + 1 then
-                    push
-                      {
-                        time;
-                        site = s;
-                        what =
-                          Printf.sprintf
-                            "FAIRNESS: request pending since %.4f overtaken \
-                             %d times (bound %d)"
-                            pending.(s)
-                            overtaken.(s) bound;
-                      }
-                end
-              done
-          | None -> ());
-          pending.(site) <- Float.nan;
-          overtaken.(site) <- 0
-        | Trace.Exit_cs ->
-          incr cs_entries;
-          in_cs := List.filter (fun s -> s <> site) !in_cs
-        | Trace.Request -> pending.(site) <- time
-        | Trace.Adopt_quorum q ->
-          List.iter
-            (fun a ->
-              if a < 0 || a >= n then
-                push
-                  {
-                    time;
-                    site;
-                    what = Printf.sprintf "QUORUM: adopted out-of-range arbiter %d" a;
-                  })
-            q;
-          for s = 0 to n - 1 do
-            match adopted.(s) with
-            | Some q' when s <> site ->
-              if not (List.exists (fun a -> List.mem a q') q) then
-                push
-                  {
-                    time;
-                    site;
-                    what =
-                      Printf.sprintf
-                        "COTERIE: quorum %s of site %d and quorum %s of site \
-                         %d do not intersect"
-                        (set_to_string q) site (set_to_string q') s;
-                  }
-            | _ -> ()
-          done;
-          adopted.(site) <- Some q
-        | Trace.Acquire { arbiter } when arbiter >= 0 && arbiter < n ->
-          (match holder.(arbiter) with
-          | Some other when other <> site && cfg.custody ->
-            push
-              {
-                time;
-                site;
-                what =
-                  Printf.sprintf
-                    "CUSTODY: acquired permission of %d while site %d still \
-                     holds it"
-                    arbiter other;
-              }
-          | _ -> ());
-          holder.(arbiter) <- Some site
-        | Trace.Acquire _ -> ()
-        | Trace.Cede { arbiter } ->
-          if arbiter >= 0 && arbiter < n && holder.(arbiter) = Some site then
-            holder.(arbiter) <- None
-        | Trace.Forward { arbiter; to_ } ->
-          if arbiter >= 0 && arbiter < n then begin
-            (match holder.(arbiter) with
-            | Some h when h = site -> ()
-            | _ when not cfg.custody -> ()
-            | _ ->
-              push
-                {
-                  time;
-                  site;
-                  what =
-                    Printf.sprintf
-                      "CUSTODY: forwarded permission of %d to %d without \
-                       holding it"
-                      arbiter to_;
-                });
-            holder.(arbiter) <- None
-          end
-        | Trace.Grant { to_ } ->
-          if site >= 0 && site < n then begin
-            match holder.(site) with
-            | Some h when cfg.custody ->
-              push
-                {
-                  time;
-                  site;
-                  what =
-                    Printf.sprintf
-                      "CUSTODY: arbiter granted its permission to %d while \
-                       site %d still holds it"
-                      to_ h;
-                }
-            | _ -> ()
-          end
-        | Trace.Send { dst; msg } ->
-          if dst <> site then begin
-            incr messages;
-            if in_range site && in_range dst then begin
-              let l = channel sends ((site * n) + dst) in
-              l := (time, msg) :: !l
-            end
-          end
-        | Trace.Receive { src; msg } ->
-          if src <> site && in_range src && in_range site then begin
-            let l = channel recvs ((src * n) + site) in
-            l := (time, site, msg) :: !l
-          end
-        | Trace.Crash ->
-          (* fail-stop: volatile possession dies with the site, and so does
-             any authority memory of its arbiter role *)
-          in_cs := List.filter (fun s -> s <> site) !in_cs;
-          for a = 0 to n - 1 do
-            if holder.(a) = Some site then holder.(a) <- None
-          done;
-          if site >= 0 && site < n then begin
-            holder.(site) <- None;
-            adopted.(site) <- None;
-            pending.(site) <- Float.nan;
-            overtaken.(site) <- 0
-          end
-        | Trace.Recover | Trace.Timer _ | Trace.Drop _ | Trace.Duplicate _
-        | Trace.Partition _ | Trace.Suspect _ | Trace.Trust _ | Trace.Note _
-          ->
-          ());
-    if cfg.fifo then
-      Hashtbl.iter
-        (fun key recvd ->
-          let sent =
-            match Hashtbl.find_opt sends key with
-            | Some l -> List.rev !l
-            | None -> []
-          in
-          check_fifo ~push sent (List.rev !recvd))
-        recvs;
-    (match cfg.bound_per_cs with
-    | Some bound when !cs_entries > 0 ->
-      let per_cs = float_of_int !messages /. float_of_int !cs_entries in
+let finish t =
+  let bound =
+    match t.cfg.bound_per_cs with
+    | Some bound when t.cs_entries > 0 ->
+      let per_cs = float_of_int t.messages /. float_of_int t.cs_entries in
       if per_cs > bound then
-        push
+        [
           {
             time = 0.0;
             site = -1;
             what =
               Printf.sprintf
-                "BOUND: %.2f messages per CS exceeds the expected %.2f \
-                 (%d messages / %d executions)"
-                per_cs bound !messages !cs_entries;
-          }
-    | _ -> ());
-    {
-      violations =
-        List.sort (fun a b -> compare (a.time, a.site) (b.time, b.site))
-          !violations;
-      entries_checked = !count;
-      cs_entries = !cs_entries;
-      messages = !messages;
-      truncated = false;
-    }
-  end
+                "BOUND: %.2f messages per CS exceeds the expected %.2f (%d \
+                 messages / %d executions)"
+                per_cs bound t.messages t.cs_entries;
+          };
+        ]
+      else []
+    | _ -> []
+  in
+  {
+    violations =
+      List.sort
+        (fun a b -> compare (a.time, a.site) (b.time, b.site))
+        (bound @ t.violations);
+    entries_checked = t.count;
+    cs_entries = t.cs_entries;
+    messages = t.messages;
+    truncated = false;
+  }
+
+(* A clipped stream proves nothing, so it is counted, not checked. *)
+let refuse ~length =
+  {
+    violations = [];
+    entries_checked = length;
+    cs_entries = 0;
+    messages = 0;
+    truncated = true;
+  }
 
 let check cfg (entries : Trace.entry list) ~truncated =
-  scan cfg ~truncated
-    ~iter:(fun f ->
-      List.iter (fun (e : Trace.entry) -> f ~time:e.time ~site:e.site e.kind) entries)
+  if truncated then refuse ~length:(List.length entries)
+  else begin
+    let t = create cfg in
+    List.iter
+      (fun (e : Trace.entry) -> feed t ~time:e.time ~site:e.site e.kind)
+      entries;
+    finish t
+  end
 
 let check_trace cfg trace =
-  scan cfg ~truncated:(Trace.truncated trace)
-    ~iter:(fun f -> Trace.iter f trace)
+  if Trace.truncated trace then refuse ~length:(Trace.length trace)
+  else begin
+    let t = create cfg in
+    Trace.iter (feed t) trace;
+    finish t
+  end
 
 (* ---- expected per-protocol message bounds ---- *)
 

@@ -1,8 +1,10 @@
-(** Post-hoc trace oracle: global invariants of a completed run.
+(** Online trace oracle: global invariants of a run, checked as it is
+    recorded.
 
     The engine checks mutual exclusion online; everything else the paper
-    claims is a {e whole-trace} property. This module replays a run's
-    {!Trace} stream and validates:
+    claims is a {e whole-run} property. This module consumes a run's
+    {!Trace} stream one entry at a time ({!create}, {!feed}, {!finish})
+    and validates:
 
     - {e mutex}: no two CS tenures overlap (Enter/Exit/Crash pairing);
     - {e quorum consistency}: every instrumented CS entry holds the
@@ -22,6 +24,14 @@
       overtaken by younger requests more than [max_overtake] times;
     - {e message bounds} (optional): total traced messages per CS execution
       stay under [bound_per_cs] — e.g. the paper's 3(K-1) at light load.
+
+    Memory follows the run's live state, not its length: O(n) per-site
+    arrays, plus for FIFO one queue per channel holding the sends not yet
+    consumed by a receive, so O(messages in flight). A receive is matched
+    only against sends fed before it. A checked simulation feeds the
+    oracle while the engine records ({!Trace.stream}); {!check} and
+    {!check_trace} are the same checker over a stored list or collector,
+    as used for merged live traces.
 
     Uninstrumented protocols (no custody events in the trace) degrade
     gracefully: custody and quorum checks are vacuous, mutex/FIFO/fairness
@@ -75,11 +85,25 @@ val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 (** Summary line plus one {!pp_violation} line per breach. *)
 
+type t
+(** One run's checker state. Not shared between domains. *)
+
+val create : config -> t
+
+val feed : t -> time:float -> site:int -> Trace.kind -> unit
+(** Check one entry; entries must arrive in recording order. Its type is
+    {!Trace.stream}'s consumer, so [Trace.stream (feed t)] checks a run as
+    the engine records it. *)
+
+val finish : t -> verdict
+(** The verdict on everything fed so far, message bound included. Never
+    {!verdict.truncated}: a fed stream is complete by construction. *)
+
 val check : config -> Trace.entry list -> truncated:bool -> verdict
-(** Validate a chronological entry list against every enabled invariant.
-    Pass [~truncated:true] when the collector dropped entries — the
-    verdict is then marked {!verdict.truncated} and {!ok} rejects it,
-    since absence of violations in a partial trace proves nothing. *)
+(** Feed a chronological entry list and {!finish}. Pass [~truncated:true]
+    when the collector dropped entries — nothing is checked, the verdict
+    is marked {!verdict.truncated} and {!ok} rejects it, since absence of
+    violations in a partial trace proves nothing. *)
 
 val check_trace : config -> Trace.t -> verdict
 (** [check] on the collector's entries, honoring its truncation flag. *)

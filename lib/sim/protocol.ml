@@ -27,8 +27,8 @@ type 'msg ctx = {
   trace_note : string -> unit;
   trace_event : Trace.kind -> unit;
       (** Structured trace hook for the semantic permission events
-          ({!Trace.Acquire}, {!Trace.Cede}, ...) the post-hoc {!Oracle}
-          checks. A no-op outside the tracing engine; protocols call it
+          ({!Trace.Acquire}, {!Trace.Cede}, ...) the {!Oracle} checks.
+          A no-op outside the tracing engine; protocols call it
           unconditionally. *)
   mark_parked : bool -> unit;
       (** Graceful-degradation accounting: [mark_parked true] tells the

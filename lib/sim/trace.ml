@@ -13,7 +13,7 @@ type kind =
   | Trust of int
   | Note of string
   (* Semantic protocol events, recorded by instrumented protocols through
-     [Protocol.ctx.trace_event]; the post-hoc {!Oracle} consumes them. *)
+     [Protocol.ctx.trace_event]; the {!Oracle} consumes them. *)
   | Request
   | Adopt_quorum of int list
   | Acquire of { arbiter : int }
@@ -27,9 +27,11 @@ type entry = { time : float; site : int; kind : kind }
    in recording order: an unboxed float array of times, an int array of
    sites and an array of kinds. Recording writes three slots (no cons
    cell, entry record or boxed float); the arrays double as they fill, up
-   to [capacity + 1] slots. *)
+   to [capacity + 1] slots. A streaming collector keeps no slots and
+   hands each record to its consumer instead. *)
 type t = {
   enabled : bool;
+  consumer : (time:float -> site:int -> kind -> unit) option;
   capacity : int;
   mutable times : Float.Array.t;
   mutable sites : int array;
@@ -42,6 +44,7 @@ let create ?(enabled = false) ?(capacity = 1_000_000) () =
   if capacity < 0 then invalid_arg "Trace.create: negative capacity";
   {
     enabled;
+    consumer = None;
     capacity;
     times = Float.Array.create 0;
     sites = [||];
@@ -50,6 +53,7 @@ let create ?(enabled = false) ?(capacity = 1_000_000) () =
     truncated = false;
   }
 
+let stream f = { (create ~enabled:true ~capacity:0 ()) with consumer = Some f }
 let enabled t = t.enabled
 
 let grow t =
@@ -80,15 +84,17 @@ let trim t =
   t.truncated <- true
 
 let record t ~time ~site kind =
-  if t.enabled then begin
-    if t.length = Array.length t.kinds then grow t;
-    let i = t.length in
-    Float.Array.set t.times i time;
-    t.sites.(i) <- site;
-    t.kinds.(i) <- kind;
-    t.length <- i + 1;
-    if t.length > t.capacity then trim t
-  end
+  if t.enabled then
+    match t.consumer with
+    | Some f -> f ~time ~site kind
+    | None ->
+      if t.length = Array.length t.kinds then grow t;
+      let i = t.length in
+      Float.Array.set t.times i time;
+      t.sites.(i) <- site;
+      t.kinds.(i) <- kind;
+      t.length <- i + 1;
+      if t.length > t.capacity then trim t
 
 let iter f t =
   for i = 0 to t.length - 1 do

@@ -55,6 +55,13 @@ val create : ?enabled:bool -> ?capacity:int -> unit -> t
     entries, in order, and sets {!truncated}.
     @raise Invalid_argument if [capacity] is negative. *)
 
+val stream : (time:float -> site:int -> kind -> unit) -> t
+(** An enabled collector that stores nothing: every {!record} goes
+    straight to the consumer, in recording order. Its {!length} stays 0
+    and it is never {!truncated}, so a whole-run analysis fed this way
+    (e.g. [stream (Oracle.feed o)]) sees every entry of a run of any
+    length. *)
+
 val enabled : t -> bool
 val record : t -> time:float -> site:int -> kind -> unit
 val iter : (time:float -> site:int -> kind -> unit) -> t -> unit

@@ -2,7 +2,7 @@
 
    Seeded random schedules (workload x delay model x protocol x quorum, and
    fault plans for the FT variant) run through the engine; the full trace
-   is piped to the post-hoc Oracle. Any rejection is shrunk via
+   is piped to the Oracle. Any rejection is shrunk via
    Schedule.minimize to a minimal reproducer, persisted as a .dmxrepro file
    (re-executable with `dmx-sim replay`), and reported as a test failure.
 

@@ -1,8 +1,9 @@
-(* The post-hoc trace oracle: hand-crafted traces exercising each invariant
-   (mutex, quorum coverage, coterie intersection, permission custody, FIFO,
-   fairness, message bounds, truncation refusal), the independent
-   occupancy scan, then real runs of every protocol x quorum construction
-   piped through it. *)
+(* The trace oracle: hand-crafted traces exercising each invariant (mutex,
+   quorum coverage, coterie intersection, permission custody, FIFO,
+   fairness, message bounds, truncation refusal), the streaming FIFO check
+   against the whole-run matcher it replaced, the independent occupancy
+   scan, then real runs of every protocol x quorum construction piped
+   through it. *)
 
 module T = Dmx_sim.Trace
 module O = Dmx_sim.Oracle
@@ -249,6 +250,276 @@ let test_truncated_never_ok () =
   Alcotest.(check bool) "truncated recorded" true v.O.truncated;
   Alcotest.(check bool) "not ok" false (O.ok v)
 
+(* ---- streaming FIFO against the whole-run reference ---- *)
+
+(* The FIFO check as it was before the oracle streamed: every send and
+   receive of a channel is kept until the end of the run, then each
+   receive, in order, scans forward over {e all} the channel's remaining
+   sends, later ones included, for the next one with its text (or repeats
+   the previous match). *)
+let check_fifo ~push sends recvs =
+  let sends = Array.of_list sends in
+  let cursor = ref 0 in
+  let last = ref None in
+  List.iter
+    (fun (rt, rsite, msg) ->
+      let matched_dup =
+        match !last with Some (_, m) when m = msg -> true | _ -> false
+      in
+      let rec scan i =
+        if i >= Array.length sends then None
+        else
+          let st, smsg = sends.(i) in
+          if smsg = msg then Some (i, st) else scan (i + 1)
+      in
+      match scan !cursor with
+      | Some (i, st) ->
+        cursor := i + 1;
+        last := Some (st, msg);
+        if st > rt +. 1e-9 then
+          push
+            {
+              O.time = rt;
+              site = rsite;
+              what =
+                Printf.sprintf "FIFO: %S received before it was sent (%.4f)"
+                  msg st;
+            }
+      | None ->
+        if not matched_dup then
+          push
+            {
+              O.time = rt;
+              site = rsite;
+              what =
+                Printf.sprintf
+                  "FIFO: received %S out of channel order (no unconsumed \
+                   matching send)"
+                  msg;
+            })
+    recvs
+
+(* The reference's FIFO violations of a whole entry list, on the oracle's
+   channels: (src, dst) pairs of distinct in-range sites. *)
+let reference_fifo ~n entries =
+  let sends = Hashtbl.create 16 and recvs = Hashtbl.create 16 in
+  let add tbl key x =
+    Hashtbl.replace tbl key
+      (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  in
+  let in_range s = s >= 0 && s < n in
+  List.iter
+    (fun (e : T.entry) ->
+      match e.T.kind with
+      | T.Send { dst; msg }
+        when dst <> e.T.site && in_range e.T.site && in_range dst ->
+        add sends ((e.T.site * n) + dst) (e.T.time, msg)
+      | T.Receive { src; msg }
+        when src <> e.T.site && in_range src && in_range e.T.site ->
+        add recvs ((src * n) + e.T.site) (e.T.time, e.T.site, msg)
+      | _ -> ())
+    entries;
+  let out = ref [] in
+  Hashtbl.iter
+    (fun key r ->
+      let s = Option.value ~default:[] (Hashtbl.find_opt sends key) in
+      check_fifo ~push:(fun v -> out := v :: !out) (List.rev s) (List.rev r))
+    recvs;
+  !out
+
+let sorted vs =
+  List.sort
+    (fun (a : O.violation) (b : O.violation) ->
+      compare (a.O.time, a.O.site, a.O.what) (b.O.time, b.O.site, b.O.what))
+    vs
+
+let streaming_fifo ~n entries =
+  sorted (O.check (O.default ~n) entries ~truncated:false).O.violations
+
+(* The one text only the reference produces: it can match a receive to a
+   send recorded later, which a stream has not seen yet. *)
+let before_sent (v : O.violation) =
+  let needle = "received before it was sent" in
+  let w = v.O.what and k = String.length needle in
+  let rec at i =
+    i + k <= String.length w && (String.sub w i k = needle || at (i + 1))
+  in
+  at 0
+
+(* Random per-channel streams in which every receive follows its send:
+   each send is lost, delivered once or delivered twice in a row (a
+   stutter), some adjacent deliveries are swapped (an injected reorder),
+   and each channel's sends and receives interleave at random, as do the
+   channels. Texts are unique per channel, or drawn from three letters so
+   that the greedy match meets repeats. *)
+let gen_channels ~unique st =
+  let n = 3 in
+  let pairs =
+    List.concat_map
+      (fun s ->
+        List.filter_map
+          (fun d -> if s <> d then Some (s, d) else None)
+          [ 0; 1; 2 ])
+      [ 0; 1; 2 ]
+  in
+  let pairs =
+    List.map snd
+      (List.sort compare (List.map (fun p -> (Random.State.bits st, p)) pairs))
+  in
+  let chans = List.filteri (fun i _ -> i < 1 + Random.State.int st 3) pairs in
+  let script (src, dst) =
+    let m = Random.State.int st 12 in
+    let text =
+      Array.init m (fun i ->
+          if unique then Printf.sprintf "m%d" i
+          else String.make 1 "abc".[Random.State.int st 3])
+    in
+    let deliveries =
+      List.concat
+        (List.init m (fun i ->
+             match Random.State.int st 10 with
+             | 0 | 1 -> []
+             | 2 | 3 -> [ i; i ]
+             | _ -> [ i ]))
+    in
+    let d = Array.of_list deliveries in
+    for j = 0 to Array.length d - 2 do
+      if Random.State.int st 8 = 0 then begin
+        let x = d.(j) in
+        d.(j) <- d.(j + 1);
+        d.(j + 1) <- x
+      end
+    done;
+    (* each step emits the next send or, once its send is out, the next
+       delivery *)
+    let rec go ns nd acc =
+      let can_recv = nd < Array.length d && d.(nd) < ns in
+      if ns = m && not can_recv then List.rev acc
+      else if can_recv && (ns = m || Random.State.bool st) then
+        go ns (nd + 1) (`Recv (dst, src, text.(d.(nd))) :: acc)
+      else go (ns + 1) nd (`Send (src, dst, text.(ns)) :: acc)
+    in
+    go 0 0 []
+  in
+  let queues = Array.of_list (List.map script chans) in
+  let rec merge t acc =
+    let live =
+      List.filter
+        (fun i -> queues.(i) <> [])
+        (List.init (Array.length queues) Fun.id)
+    in
+    match live with
+    | [] -> List.rev acc
+    | _ ->
+      let i = List.nth live (Random.State.int st (List.length live)) in
+      let step = List.hd queues.(i) in
+      queues.(i) <- List.tl queues.(i);
+      let kind, site =
+        match step with
+        | `Send (src, dst, msg) -> (T.Send { dst; msg }, src)
+        | `Recv (dst, src, msg) -> (T.Receive { src; msg }, dst)
+      in
+      merge (t +. 1.0) (e t site kind :: acc)
+  in
+  (n, merge 1.0 [])
+
+let print_stream (_, entries) =
+  String.concat "\n"
+    (List.map (fun x -> Format.asprintf "%a" T.pp_entry x) entries)
+
+let qcheck_fifo_unique =
+  QCheck.Test.make
+    ~name:"streaming FIFO = reference (unique texts, loss, dup, reorder)"
+    ~count:500
+    (QCheck.make ~print:print_stream (gen_channels ~unique:true))
+    (fun (n, entries) ->
+      streaming_fifo ~n entries = sorted (reference_fifo ~n entries))
+
+let qcheck_fifo_repeated =
+  QCheck.Test.make
+    ~name:"streaming FIFO = reference (repeated texts, loss, dup, reorder)"
+    ~count:500
+    (QCheck.make ~print:print_stream (gen_channels ~unique:false))
+    (fun (n, entries) ->
+      let str = streaming_fifo ~n entries in
+      let ref_ = sorted (reference_fifo ~n entries) in
+      if List.exists before_sent ref_ then
+        (* the reference matched a receive to a later same-text send (see
+           "fifo: where the stream and the reference part") *)
+        not (List.exists before_sent str)
+      else str = ref_)
+
+(* The two ways the verdicts part, both on a receive that the reference
+   pairs with a send recorded after it. *)
+let test_fifo_parting_cases () =
+  let fifo = List.map (fun (v : O.violation) -> v.O.what) in
+  (* a receive recorded before its send: both reject, in different words *)
+  let early =
+    [
+      e 1.0 1 (T.Receive { src = 0; msg = "a" });
+      e 2.0 0 (T.Send { dst = 1; msg = "a" });
+    ]
+  in
+  Alcotest.(check (list string))
+    "receive before send: reference"
+    [ "FIFO: \"a\" received before it was sent (2.0000)" ]
+    (fifo (reference_fifo ~n:4 early));
+  Alcotest.(check (list string))
+    "receive before send: stream"
+    [ "FIFO: received \"a\" out of channel order (no unconsumed matching send)" ]
+    (fifo (streaming_fifo ~n:4 early));
+  (* a stutter whose text is sent again later: the stream takes it for the
+     duplicate it is; the reference pairs it with the later send *)
+  let stutter =
+    [
+      e 1.0 0 (T.Send { dst = 1; msg = "a" });
+      e 2.0 1 (T.Receive { src = 0; msg = "a" });
+      e 3.0 1 (T.Receive { src = 0; msg = "a" });
+      e 4.0 0 (T.Send { dst = 1; msg = "a" });
+      e 5.0 1 (T.Receive { src = 0; msg = "a" });
+    ]
+  in
+  Alcotest.(check (list string))
+    "stutter before a resend: reference"
+    [ "FIFO: \"a\" received before it was sent (4.0000)" ]
+    (fifo (reference_fifo ~n:4 stutter));
+  Alcotest.(check (list string))
+    "stutter before a resend: stream" [] (fifo (streaming_fifo ~n:4 stutter))
+
+(* The fuzz corpus through the oracle and through the reference: the
+   reference verdict is the oracle's with FIFO off plus the whole-run FIFO
+   matcher's violations. *)
+let test_fifo_fuzz_corpus () =
+  let verdicts =
+    Dmx_sim.Pool.run ~jobs:Test_fuzz.fuzz_jobs Test_fuzz.cases (fun i ->
+        let s = Test_fuzz.gen (i + 1) in
+        match R.run_schedule s with
+        | Error msg -> Error msg
+        | Ok (_, tr) ->
+          let cfg = Test_fuzz.oracle_cfg s in
+          let v = O.check_trace cfg tr in
+          let rest = O.check_trace { cfg with O.fifo = false } tr in
+          let fifo =
+            if cfg.O.fifo then reference_fifo ~n:cfg.O.n (T.entries tr) else []
+          in
+          Ok
+            ( (O.ok v, List.length v.O.violations),
+              ( rest.O.violations = [] && fifo = [] && not rest.O.truncated,
+                List.length rest.O.violations + List.length fifo ),
+              cfg.O.fifo ))
+  in
+  let fifo_checked = ref 0 in
+  Array.iteri
+    (fun i -> function
+      | Error msg -> Alcotest.fail msg
+      | Ok (stream, reference, fifo) ->
+        if fifo then incr fifo_checked;
+        Alcotest.(check (pair bool int))
+          (Printf.sprintf "seed %d: ok and violation count" (i + 1))
+          reference stream)
+    verdicts;
+  Alcotest.(check bool) "some runs check FIFO" true (!fifo_checked > 0)
+
 (* ---- every protocol x quorum construction through the oracle ---- *)
 
 let run_and_check ~algo ~kind ~n () =
@@ -366,11 +637,18 @@ let suite =
       ("coterie intersection", test_coterie_intersection);
       ("fifo order", test_fifo_order);
       ("fifo tolerates loss and dup", test_fifo_tolerates_faults);
+      ("fifo: where the stream and the reference part", test_fifo_parting_cases);
       ("fairness bound", test_fairness_bound);
       ("message bound", test_message_bound);
       ("truncated trace never passes", test_truncated_never_ok);
       ("occupancy: overlap counted", test_occupancy_overlap);
       ("occupancy: crash closes a hold", test_occupancy_crash_closes);
       ("occupancy: stray exit ignored", test_occupancy_stray_exit);
+    ]
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_fifo_unique;
+      QCheck_alcotest.to_alcotest qcheck_fifo_repeated;
+      Alcotest.test_case "fifo: fuzz corpus, stream = reference" `Slow
+        test_fifo_fuzz_corpus;
     ]
   @ sweep_tests

@@ -1,6 +1,6 @@
 (* Trace collector: enable flag, order, capacity trimming, the flat
-   storage's iterator and reuse, and the oracle reading the collector
-   directly. *)
+   storage's iterator and reuse, the streaming collector, and the oracle
+   reading the collector directly or fed as records arrive. *)
 
 module Trace = Dmx_sim.Trace
 module O = Dmx_sim.Oracle
@@ -102,7 +102,13 @@ let test_reuse_after_clear () =
   Alcotest.(check bool) "complete again" false (Trace.truncated t)
 
 (* [O.check_trace] walks the collector's arrays; it must reach the verdict
-   [O.check] reaches on the same entries as a list. *)
+   [O.check] reaches on the same entries as a list, and the oracle fed
+   through a streaming collector must reach it too. *)
+let streamed cfg entries =
+  let o = O.create cfg in
+  record_all (Trace.stream (O.feed o)) entries;
+  O.finish o
+
 let test_check_trace_agrees_injected () =
   List.iter
     (fun (label, cfg, entries) ->
@@ -114,7 +120,11 @@ let test_check_trace_agrees_injected () =
         (label ^ ": same verdict as the list form")
         true
         (v = O.check cfg (Trace.entries t) ~truncated:false
-        && v = O.check cfg entries ~truncated:false))
+        && v = O.check cfg entries ~truncated:false);
+      Alcotest.(check bool)
+        (label ^ ": same verdict fed as recorded")
+        true
+        (v = streamed cfg entries))
     Test_oracle.injected
 
 let test_check_trace_agrees_clean_run () =
@@ -140,7 +150,47 @@ let test_check_trace_agrees_clean_run () =
     Alcotest.(check int) "every entry checked" (Trace.length t)
       v.O.entries_checked;
     Alcotest.(check bool) "same verdict as the list form" true
-      (v = O.check cfg (Trace.entries t) ~truncated:false)
+      (v = O.check cfg (Trace.entries t) ~truncated:false);
+    (* the same run again, this time feeding the oracle as it records *)
+    let o = O.create cfg in
+    (match Dmx_baselines.Runner.of_schedule s with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      ignore
+        (r.Dmx_baselines.Runner.run_traced
+           ~trace_sink:(Trace.stream (O.feed o))
+           (Dmx_sim.Schedule.to_engine_config s)));
+    Alcotest.(check bool) "same verdict fed as recorded" true (v = O.finish o)
+
+let test_stream_stores_nothing () =
+  let seen = ref [] in
+  let t =
+    Trace.stream (fun ~time ~site kind ->
+        seen := { Trace.time; site; kind } :: !seen)
+  in
+  Alcotest.(check bool) "enabled" true (Trace.enabled t);
+  let entries =
+    List.init 5 (fun i ->
+        { Trace.time = float_of_int i; site = i; kind = Trace.Timer i })
+  in
+  record_all t entries;
+  Alcotest.(check bool) "consumer saw every record, in order" true
+    (List.rev !seen = entries);
+  Alcotest.(check int) "nothing stored" 0 (Trace.length t);
+  Alcotest.(check bool) "never truncated" false (Trace.truncated t)
+
+(* A clipped collector is refused without being walked: the verdict
+   counts the entries it still holds. *)
+let test_check_trace_truncated () =
+  let t = Trace.create ~enabled:true ~capacity:10 () in
+  for i = 1 to 11 do
+    Trace.record t ~time:(float_of_int i) ~site:0 Trace.Enter_cs
+  done;
+  let v = O.check_trace (O.default ~n:4) t in
+  Alcotest.(check bool) "truncated" true v.O.truncated;
+  Alcotest.(check bool) "not ok" false (O.ok v);
+  Alcotest.(check int) "entries counted" (Trace.length t) v.O.entries_checked;
+  Alcotest.(check int) "nothing checked" 0 (List.length v.O.violations)
 
 let test_clear () =
   let t = Trace.create ~enabled:true () in
@@ -208,6 +258,8 @@ let suite =
        test_check_trace_agrees_injected);
       ("check_trace = check: clean checked run",
        test_check_trace_agrees_clean_run);
+      ("stream stores nothing", test_stream_stores_nothing);
+      ("check_trace refuses a truncated trace", test_check_trace_truncated);
       ("clear", test_clear);
       ("truncated flag", test_truncated_flag);
       ("entry pretty-printer", test_pp_entry);
