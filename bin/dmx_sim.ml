@@ -1175,8 +1175,7 @@ let cluster_cmd =
         restarts;
         log_dir;
         timeout;
-        hb_period = hb;
-        hb_timeout = hbto;
+        detector = { Dmx_sim.Detector.period = hb; timeout = hbto };
         rto;
         transport;
         chaos;
@@ -1465,8 +1464,7 @@ let swarm_cmd =
             restarts;
             log_dir;
             timeout;
-            hb_period = hb;
-            hb_timeout = hbto;
+            detector = { Dmx_sim.Detector.period = hb; timeout = hbto };
             rto;
             transport;
             chaos = { Net.no_faults with Net.loss; duplication = dup; reorder };

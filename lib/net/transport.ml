@@ -235,7 +235,7 @@ let create (cfg : Transport_sig.config) =
       listen_fd;
       peers = List.map peer cfg.peers;
       conns = [];
-      book = Peers.create cfg;
+      book = Peers.create ();
       closed = false;
     }
   in

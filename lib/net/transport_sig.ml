@@ -1,15 +1,7 @@
-type event =
-  | Frame of { src : int; frame : Wire.frame }
-  | Peer_down of int
-  | Peer_up of int
-
 type config = {
   self : int;
   listen_port : int;
   peers : (int * Unix.sockaddr) list;
-  hb_period : float;
-  hb_timeout : float;
-  watch : int list;
   hello_inc : float;
 }
 
@@ -21,7 +13,6 @@ type stats = {
   bytes_sent : int;
   bytes_received : int;
   connects : int;
-  silences : int;
 }
 
 let no_stats =
@@ -33,7 +24,6 @@ let no_stats =
     bytes_sent = 0;
     bytes_received = 0;
     connects = 0;
-    silences = 0;
   }
 
 (* every counter, under its metric-name suffix, in one order for the
@@ -47,7 +37,6 @@ let fields =
     (".bytes_sent", fun s -> s.bytes_sent);
     (".bytes_received", fun s -> s.bytes_received);
     (".connects", fun s -> s.connects);
-    (".silences", fun s -> s.silences);
   ]
 
 let stats_alist ~prefix s =
@@ -62,7 +51,7 @@ module type S = sig
   val create : config -> t
   val send : t -> dst:int -> Wire.frame -> unit
   val broadcast : t -> Wire.frame -> unit
-  val poll : t -> event option
+  val poll : t -> (int * Wire.frame) option
   val stats : t -> stats
   val close : t -> unit
 end
@@ -70,7 +59,7 @@ end
 type handle = {
   send : dst:int -> Wire.frame -> unit;
   broadcast : Wire.frame -> unit;
-  poll : unit -> event option;
+  poll : unit -> (int * Wire.frame) option;
   stats : unit -> stats;
   close : unit -> unit;
 }
@@ -95,23 +84,15 @@ let register_obs ?labels reg ~prefix (h : handle) =
           read (h.stats ())))
     fields
 
-(* ---- shared event queue, counters and silence detection ----
+(* ---- shared frame queue and counters ----
 
    Both transports feed this from their [poll], on the owner's thread:
-   each frame is counted, its sender marked heard, and the frame queued;
-   [poll] then drains the queue and, at most once per [hb_period], scans
-   the watched peers for heartbeat silence. Heartbeat *emission* is the
-   owner's job, through the possibly chaos-wrapped handle, so injected
-   faults apply to heartbeats exactly as to protocol traffic. *)
+   each frame is counted and queued with its sender, and [poll] drains
+   the queue. Heartbeats and failure detection are the owner's. *)
 
 module Peers = struct
   type t = {
-    cfg : config;
-    events : event Queue.t;
-    last_heard : (int, float) Hashtbl.t;
-    suspected : (int, unit) Hashtbl.t;
-    started : float;
-    mutable last_check : float;
+    frames : (int * Wire.frame) Queue.t;
     (* counters, read by registry probes from the scrape thread *)
     sent : int Atomic.t;
     received : int Atomic.t;
@@ -120,19 +101,12 @@ module Peers = struct
     bytes_sent : int Atomic.t;
     bytes_received : int Atomic.t;
     connects : int Atomic.t;
-    silences : int Atomic.t;
   }
 
-  let create cfg =
-    let now = Unix.gettimeofday () in
+  let create () =
     let z () = Atomic.make 0 in
     {
-      cfg;
-      events = Queue.create ();
-      last_heard = Hashtbl.create 16;
-      suspected = Hashtbl.create 16;
-      started = now;
-      last_check = now;
+      frames = Queue.create ();
       sent = z ();
       received = z ();
       oversize = z ();
@@ -140,7 +114,6 @@ module Peers = struct
       bytes_sent = z ();
       bytes_received = z ();
       connects = z ();
-      silences = z ();
     }
 
   let stats t =
@@ -153,7 +126,6 @@ module Peers = struct
       bytes_sent = g t.bytes_sent;
       bytes_received = g t.bytes_received;
       connects = g t.connects;
-      silences = g t.silences;
     }
 
   let sent t bytes =
@@ -163,43 +135,14 @@ module Peers = struct
   let oversize t = Atomic.incr t.oversize
   let undecodable t = Atomic.incr t.undecodable
   let connected t = Atomic.incr t.connects
-  let idle t = Queue.is_empty t.events
+  let idle t = Queue.is_empty t.frames
 
-  (* A frame of [bytes] wire bytes arrived from [src]: count it, refresh
-     the sender's liveness, retract any standing suspicion, and queue the
-     frame. *)
   let deliver t ~src frame bytes =
     Atomic.incr t.received;
     ignore (Atomic.fetch_and_add t.bytes_received bytes);
-    if src >= 0 then begin
-      Hashtbl.replace t.last_heard src (Unix.gettimeofday ());
-      if Hashtbl.mem t.suspected src then begin
-        Hashtbl.remove t.suspected src;
-        Queue.push (Peer_up src) t.events
-      end
-    end;
-    Queue.push (Frame { src; frame }) t.events
+    Queue.push (src, frame) t.frames
 
-  let check_silence t =
-    let now = Unix.gettimeofday () in
-    if t.cfg.hb_period > 0.0 && now -. t.last_check >= t.cfg.hb_period then begin
-      t.last_check <- now;
-      List.iter
-        (fun id ->
-          (* never heard: the grace period runs from transport start *)
-          let last = Option.value ~default:t.started (Hashtbl.find_opt t.last_heard id) in
-          if (not (Hashtbl.mem t.suspected id)) && now -. last > t.cfg.hb_timeout
-          then begin
-            Hashtbl.replace t.suspected id ();
-            Atomic.incr t.silences;
-            Queue.push (Peer_down id) t.events
-          end)
-        t.cfg.watch
-    end
-
-  let poll t =
-    check_silence t;
-    Queue.take_opt t.events
+  let poll t = Queue.take_opt t.frames
 end
 
 (* Learn the sending site from any frame carrying a source field; [-1]

@@ -1,12 +1,11 @@
 (** The transport abstraction of the networked runtime.
 
     A transport moves {!Wire.frame}s between a fixed set of peers and
-    feeds the owner a single event stream: inbound frames, plus
-    {!event.Peer_down}/{!event.Peer_up} transitions from heartbeat-silence
-    failure detection. The service daemon and its driver program
-    against the first-class {!handle}, so any implementation of {!S} —
-    TCP streams ({!Transport}), UDP datagrams ({!Udp}), or either wrapped
-    in the {!Chaos} fault shim — slots in without touching them.
+    hands the owner each inbound frame with its sender. The service
+    daemon and its driver program against the first-class {!handle}, so
+    any implementation of {!S} — TCP streams ({!Transport}), UDP
+    datagrams ({!Udp}), or either wrapped in the {!Chaos} fault shim —
+    slots in without touching them.
 
     Every implementation is single-threaded and polled by its owner: it
     starts no thread and takes no lock, and its sockets are read only
@@ -14,34 +13,18 @@
     division of labour is the same for all of them:
 
     - {e delivery} is the transport's: [poll] reads whatever its sockets
-      have ready, without blocking, and turns it into {!event.Frame}s;
-    - {e failure detection} is the transport's: a frame from a peer
-      refreshes its liveness, and [poll] scans the watched peers for
-      heartbeat silence at most once per [hb_period];
-    - {e heartbeat emission} is the owner's: the owning loop broadcasts
-      {!Wire.frame.Heartbeat} every [hb_period] through its (possibly
-      chaos-wrapped) handle, so injected loss, partitions and delays
-      starve the failure detector exactly as a hostile network would —
-      this is what makes detector robustness testable end to end. *)
-
-type event =
-  | Frame of { src : int; frame : Wire.frame }
-      (** [src] is the sending site as identified by the frame itself (or,
-          on TCP, the connection's [Hello]); [-1] when unknown. *)
-  | Peer_down of int
-      (** heartbeat silence exceeded [hb_timeout] — suspicion, not truth *)
-  | Peer_up of int  (** a suspected peer was heard from again *)
+      have ready, without blocking, and hands back one frame at a time;
+    - {e heartbeats and failure detection} are the owner's: the service
+      daemon broadcasts {!Wire.frame.Heartbeat} every heartbeat period
+      through its (possibly chaos-wrapped) handle, feeds every frame's
+      sender to a {!Dmx_sim.Detector}, and sweeps it on the same period,
+      so injected loss, partitions and delays starve the failure
+      detector exactly as a hostile network would. *)
 
 type config = {
   self : int;  (** this participant's site id ([n] for the supervisor) *)
   listen_port : int;
   peers : (int * Unix.sockaddr) list;  (** send targets *)
-  hb_period : float;
-      (** heartbeat cadence: the owner emits at this period, and [poll]
-          runs the silence scan at most this often; [0.] disables
-          detection *)
-  hb_timeout : float;  (** silence before a watched peer is suspected *)
-  watch : int list;  (** peer ids subject to failure detection *)
   hello_inc : float;
       (** incarnation number stamped on outbound [Hello]s; a restarted
           node uses a fresh (larger) value so the supervisor can tell a
@@ -63,8 +46,6 @@ type stats = {
   bytes_received : int;  (** wire bytes in, decoded frames only *)
   connects : int;  (** successful outbound connection establishments
                        (TCP dials; 0 on datagram transports) *)
-  silences : int;  (** heartbeat-silence [Peer_down] transitions ever
-                       signalled by the failure detector *)
 }
 
 val no_stats : stats
@@ -88,10 +69,11 @@ module type S = sig
   val broadcast : t -> Wire.frame -> unit
   (** {!send} to every configured peer. *)
 
-  val poll : t -> event option
-  (** The next event, if any. When none is queued, first reads what the
-      sockets have ready; also runs the time-gated heartbeat-silence
-      scan. Never blocks. *)
+  val poll : t -> (int * Wire.frame) option
+  (** The next inbound frame and its sender, if any. When none is
+      queued, first reads what the sockets have ready. Never blocks.
+      The sender is the site the frame itself names (or, on TCP, the
+      connection's [Hello]); [-1] when unknown. *)
 
   val stats : t -> stats
 
@@ -105,7 +87,7 @@ end
 type handle = {
   send : dst:int -> Wire.frame -> unit;
   broadcast : Wire.frame -> unit;
-  poll : unit -> event option;
+  poll : unit -> (int * Wire.frame) option;
   stats : unit -> stats;
   close : unit -> unit;
 }
@@ -121,17 +103,16 @@ val register_obs :
   unit
 (** Register every field of the handle's {!stats} as counter probes named
     [prefix ^ ".sent"], [".received"], [".oversize"], [".undecodable"],
-    [".bytes_sent"], [".bytes_received"], [".connects"], [".silences"].
+    [".bytes_sent"], [".bytes_received"], [".connects"].
     Probes are polled only at snapshot time, possibly from a scrape
     endpoint's thread, so the counters behind them are atomics. *)
 
-(** Shared implementation helper: the event queue, the counters and the
-    heartbeat-silence bookkeeping every transport embeds. Not for
-    transport owners. *)
+(** Shared implementation helper: the inbound frame queue and the
+    counters every transport embeds. Not for transport owners. *)
 module Peers : sig
   type t
 
-  val create : config -> t
+  val create : unit -> t
   val stats : t -> stats
 
   (** Count a frame of this many wire bytes handed to the kernel, a send
@@ -143,16 +124,14 @@ module Peers : sig
   val connected : t -> unit
 
   val deliver : t -> src:int -> Wire.frame -> int -> unit
-  (** A frame of this many wire bytes arrived from [src]: count it,
-      refresh the sender's liveness (emitting [Peer_up] if it was
-      suspected; negative ids are ignored), and queue it. *)
+  (** A frame of this many wire bytes arrived from [src]: count it and
+      queue it. *)
 
   val idle : t -> bool
-  (** No event is queued. *)
+  (** No frame is queued. *)
 
-  val poll : t -> event option
-  (** Drain one event; runs the silence scan at most once per
-      [hb_period]. *)
+  val poll : t -> (int * Wire.frame) option
+  (** Take the oldest queued frame. *)
 end
 
 val frame_src : Wire.frame -> int

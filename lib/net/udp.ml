@@ -101,7 +101,7 @@ let create (cfg : Transport_sig.config) =
   {
     recv_fd;
     peers = List.map (fun (id, addr) -> { id; fd = None; addr }) cfg.peers;
-    book = Peers.create cfg;
+    book = Peers.create ();
     buf = Bytes.create (max_datagram + 1);
     closed = false;
   }

@@ -24,8 +24,7 @@ type config = {
   restarts : (float * int) list;
   log_dir : string option;
   timeout : float;
-  hb_period : float;
-  hb_timeout : float;
+  detector : Dmx_sim.Detector.config;
   rto : float;
   transport : string;
   chaos : Net.fault_plan;
@@ -46,8 +45,7 @@ let default ~n =
     restarts = [];
     log_dir = None;
     timeout = 180.0;
-    hb_period = 0.1;
-    hb_timeout = 1.0;
+    detector = { Dmx_sim.Detector.period = 0.1; timeout = 1.0 };
     rto = 0.25;
     transport = "tcp";
     chaos = Net.no_faults;
@@ -83,8 +81,7 @@ let swarm_config (cfg : config) =
     restarts = cfg.restarts;
     log_dir = cfg.log_dir;
     timeout = cfg.timeout;
-    hb_period = cfg.hb_period;
-    hb_timeout = cfg.hb_timeout;
+    detector = cfg.detector;
     rto = cfg.rto;
     transport = cfg.transport;
     chaos = cfg.chaos;

@@ -39,8 +39,8 @@ type config = {
           its old port with fresh state *)
   log_dir : string option;  (** per-node stderr logs, when given *)
   timeout : float;  (** hard wall-clock bound on the whole run *)
-  hb_period : float;
-  hb_timeout : float;
+  detector : Dmx_sim.Detector.config;
+      (** the nodes' heartbeat period and suspicion timeout *)
   rto : float;  (** nodes' reliability-layer base timeout *)
   transport : string;  (** a {!Dmx_net.Transports.create} name *)
   chaos : Dmx_sim.Network.fault_plan;

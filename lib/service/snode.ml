@@ -10,6 +10,7 @@ module Transport_sig = Dmx_net.Transport_sig
 module Transports = Dmx_net.Transports
 module Chaos = Dmx_net.Chaos
 module Net = Dmx_sim.Network
+module Detector = Dmx_sim.Detector
 
 type spec = {
   site : int;
@@ -23,8 +24,7 @@ type spec = {
   max_batch : int;
   seed : int;
   epoch : float;
-  hb_period : float;
-  hb_timeout : float;
+  detector : Detector.config;
   rto : float;
   max_seconds : float;
   transport : string;
@@ -57,7 +57,7 @@ let spec_to_string s =
     (String.concat ","
        (Array.to_list (Array.map string_of_int s.node_ports)))
     s.supervisor_port s.protocol s.quorum s.shards s.lease s.max_batch s.seed
-    s.epoch s.hb_period s.hb_timeout s.rto s.max_seconds s.transport
+    s.epoch s.detector.period s.detector.timeout s.rto s.max_seconds s.transport
     (chaos_token s.chaos)
     s.metrics_port
 
@@ -95,8 +95,7 @@ let spec_of_string str =
         max_batch = geti "batch";
         seed = geti "seed";
         epoch = getf "epoch";
-        hb_period = getf "hb";
-        hb_timeout = getf "hbto";
+        detector = { Detector.period = getf "hb"; timeout = getf "hbto" };
         rto = getf "rto";
         max_seconds = getf "max";
         transport = get "trans";
@@ -148,12 +147,12 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           Transport_sig.self = spec.site;
           listen_port = spec.node_ports.(spec.site);
           peers = peer_list;
-          hb_period = spec.hb_period;
-          hb_timeout = spec.hb_timeout;
-          watch =
-            List.init spec.n Fun.id |> List.filter (fun j -> j <> spec.site);
           hello_inc;
         }
+    in
+    (* the grace period of a peer never heard from runs from here *)
+    let detector =
+      Detector.create spec.detector ~n:spec.n ~self:spec.site ~now:(now ())
     in
     let shim =
       if Net.is_trivial spec.chaos then None
@@ -194,6 +193,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     let reg = Dmx_obs.Registry.create () in
     H.attach_obs ~proto:attach_obs host reg;
     Transport_sig.register_obs reg ~prefix:"transport" transport;
+    let suspicions = Dmx_obs.Registry.counter reg "detector.suspicions" in
     (match shim with Some c -> Chaos.register_obs reg c | None -> ());
     let scrape =
       if spec.metrics_port > 0 then
@@ -259,14 +259,19 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       && now () -. !last_super_contact < supervisor_silence_limit
       && now () -. started < spec.max_seconds
     do
-      if spec.hb_period > 0.0 && now () -. !last_hb >= spec.hb_period then begin
+      if now () -. !last_hb >= spec.detector.period then begin
         last_hb := now ();
         transport.broadcast (Wire.Heartbeat { site = spec.site; time = now () });
         (* keep re-introducing ourselves until the workload epoch arrives:
            on a datagram transport either frame can simply be lost *)
         if not !workload_seen then
           transport.send ~dst:spec.n
-            (Wire.Hello { site = spec.site; inc = hello_inc })
+            (Wire.Hello { site = spec.site; inc = hello_inc });
+        List.iter
+          (fun node ->
+            Dmx_obs.Metric.Counter.incr suspicions;
+            H.on_node_failure host ~node)
+          (Detector.sweep detector ~now:(now ()))
       end;
       (* due timers *)
       let rec fire_timers () =
@@ -281,48 +286,47 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       in
       fire_timers ();
       H.tick host;
-      (* network events; control frames are anonymous on a datagram
-         transport, so each one counts as driver contact by itself *)
-      let driver_frame () = last_super_contact := now () in
+      (* network frames. Any frame from a site is evidence it is alive,
+         and revokes a standing suspicion before the frame is handled.
+         Control frames are anonymous on a datagram transport, so each one
+         counts as driver contact by itself. *)
       let rec drain () =
         match transport.poll () with
         | None -> ()
-        | Some ev ->
-          (match ev with
-          | Transport_sig.Frame { src; frame } ->
-            if src = spec.n then last_super_contact := now ();
-            (match frame with
-            | Wire.Sproto { shard; src = src_node; payload; _ } ->
-              H.on_sproto host ~shard ~src_node payload
-            | Wire.Open_session { session; inc } ->
-              driver_frame ();
-              H.open_session host ~session ~inc
-            | Wire.Acquire { session; lock; req } ->
-              driver_frame ();
-              H.acquire host ~session ~lock ~req
-            | Wire.Release_lock { session; lock; req } ->
-              driver_frame ();
-              H.release host ~session ~lock ~req
-            | Wire.Renew { session; lock; req } ->
-              driver_frame ();
-              H.renew host ~session ~lock ~req
-            | Wire.Shutdown ->
-              driver_frame ();
-              dbg "snode %d: shutdown at %.3f" spec.site (now ());
-              shutdown := true
-            | Wire.Workload { since } ->
-              (* repeats carry the same epoch, so re-anchoring is harmless *)
-              driver_frame ();
-              workload_seen := true;
-              Option.iter
-                (fun c -> Chaos.set_zero c (spec.epoch +. since))
-                shim
-            | Wire.Hello _ | Wire.Heartbeat _ | Wire.Metrics _
-            | Wire.Metrics_v2 _ | Wire.Grant _ | Wire.Deny _ | Wire.Expire _
-            | Wire.Strace _ ->
-              ())
-          | Transport_sig.Peer_down s -> H.on_node_failure host ~node:s
-          | Transport_sig.Peer_up s -> H.on_node_recovery host ~node:s);
+        | Some (src, frame) ->
+          let at = now () in
+          let driver_frame () = last_super_contact := at in
+          if src = spec.n then driver_frame ();
+          if Detector.heartbeat detector ~src ~now:at then
+            H.on_node_recovery host ~node:src;
+          (match frame with
+          | Wire.Sproto { shard; src = src_node; payload; _ } ->
+            H.on_sproto host ~shard ~src_node payload
+          | Wire.Open_session { session; inc } ->
+            driver_frame ();
+            H.open_session host ~session ~inc
+          | Wire.Acquire { session; lock; req } ->
+            driver_frame ();
+            H.acquire host ~session ~lock ~req
+          | Wire.Release_lock { session; lock; req } ->
+            driver_frame ();
+            H.release host ~session ~lock ~req
+          | Wire.Renew { session; lock; req } ->
+            driver_frame ();
+            H.renew host ~session ~lock ~req
+          | Wire.Shutdown ->
+            driver_frame ();
+            dbg "snode %d: shutdown at %.3f" spec.site (now ());
+            shutdown := true
+          | Wire.Workload { since } ->
+            (* repeats carry the same epoch, so re-anchoring is harmless *)
+            driver_frame ();
+            workload_seen := true;
+            Option.iter (fun c -> Chaos.set_zero c (spec.epoch +. since)) shim
+          | Wire.Hello _ | Wire.Heartbeat _ | Wire.Metrics _
+          | Wire.Metrics_v2 _ | Wire.Grant _ | Wire.Deny _ | Wire.Expire _
+          | Wire.Strace _ ->
+            ());
           drain ()
       in
       drain ();

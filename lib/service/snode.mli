@@ -4,10 +4,12 @@
     The one live daemon of the repository, behind both {!Swarm} and
     {!Cluster}. It runs over any {!Dmx_net.Transports} name, wraps its
     sends in the {!Dmx_net.Chaos} shim when a plan is in force, beats
-    heartbeats, exits on driver silence, dispatches the session/lease
-    control frames into a {!Host} and streams each shard's trace as
-    [Strace] frames, so the driver can run the unmodified oracle per
-    shard. All client traffic arrives multiplexed over the driver's link
+    heartbeats and runs a {!Dmx_sim.Detector} on the frames it hears
+    (suspicions go to every shard as node failures, counted as
+    [detector.suspicions]), exits on driver silence, dispatches the
+    session/lease control frames into a {!Host} and streams each shard's
+    trace as [Strace] frames, so the driver can run the unmodified oracle
+    per shard. All client traffic arrives multiplexed over the driver's link
     (peer id [n]); responses go back the same way.
 
     The daemon says [Hello] every heartbeat period until the driver's
@@ -28,8 +30,9 @@ type spec = {
   max_batch : int;  (** leases served per protocol CS tenure *)
   seed : int;
   epoch : float;  (** cluster time zero (absolute [gettimeofday]) *)
-  hb_period : float;
-  hb_timeout : float;
+  detector : Dmx_sim.Detector.config;
+      (** heartbeat period and suspicion timeout of the daemon's failure
+          detector *)
   rto : float;  (** reliability-layer base retransmission timeout *)
   max_seconds : float;  (** failsafe wall-clock limit *)
   transport : string;  (** a {!Dmx_net.Transports.create} name *)

@@ -40,8 +40,7 @@ type config = {
   restarts : (float * int) list;
   log_dir : string option;
   timeout : float;
-  hb_period : float;
-  hb_timeout : float;
+  detector : Dmx_sim.Detector.config;
   rto : float;
   transport : string;
   chaos : Net.fault_plan;
@@ -69,8 +68,7 @@ let default ~n =
     restarts = [];
     log_dir = None;
     timeout = 120.0;
-    hb_period = 0.1;
-    hb_timeout = 1.0;
+    detector = { Dmx_sim.Detector.period = 0.1; timeout = 1.0 };
     rto = 0.25;
     transport = "tcp";
     chaos = Net.no_faults;
@@ -136,7 +134,10 @@ let check (cfg : config) =
       | None -> false
     then Error "ports list must have n+1 entries (nodes + driver)"
     else
-      match Net.validate ~n:cfg.n cfg.chaos with
+      match
+        Dmx_sim.Detector.validate cfg.detector;
+        Net.validate ~n:cfg.n cfg.chaos
+      with
       | () -> Ok ()
       | exception Invalid_argument e -> Error e
 
@@ -228,8 +229,7 @@ let supervise (cfg : config) =
         max_batch = cfg.max_batch;
         seed = cfg.seed;
         epoch;
-        hb_period = cfg.hb_period;
-        hb_timeout = cfg.hb_timeout;
+        detector = cfg.detector;
         rto = cfg.rto;
         max_seconds = cfg.timeout +. 30.0;
         transport = cfg.transport;
@@ -253,9 +253,6 @@ let supervise (cfg : config) =
           peers =
             List.init cfg.n (fun i ->
                 (i, Unix.ADDR_INET (Unix.inet_addr_loopback, node_ports.(i))));
-          hb_period = cfg.hb_period;
-          hb_timeout = cfg.hb_timeout;
-          watch = [];
           hello_inc = epoch;
         }
     in
@@ -319,10 +316,9 @@ let supervise (cfg : config) =
       let drain () =
         let rec go () =
           match transport.poll () with
-          | Some (Transport_sig.Frame { frame; _ }) ->
+          | Some (_, frame) ->
             handle_frame frame;
             go ()
-          | Some (Transport_sig.Peer_down _ | Transport_sig.Peer_up _) -> go ()
           | None -> ()
         in
         go ()

@@ -46,8 +46,8 @@ type config = {
       (** (seconds, node); each needs an earlier kill of the same node *)
   log_dir : string option;  (** daemon stderr logs, when given *)
   timeout : float;  (** overall failsafe, seconds *)
-  hb_period : float;
-  hb_timeout : float;
+  detector : Dmx_sim.Detector.config;
+      (** the daemons' heartbeat period and suspicion timeout *)
   rto : float;
   transport : string;  (** a {!Dmx_net.Transports} name *)
   chaos : Dmx_sim.Network.fault_plan;
@@ -64,10 +64,12 @@ type config = {
 
 val default : n:int -> config
 (** 4 shards, 64 clients x 3 rounds, 50 ms mean think, 2 ms hold, 2 s
-    lease, no kills, no chaos, TCP. *)
+    lease, 100 ms heartbeats with a 1 s suspicion timeout, no kills, no
+    chaos, TCP. *)
 
 val validate : config -> (unit, string) result
-(** {!Clients.check}, plus the transport, hello timeout, port list and
+(** {!Clients.check}, plus the transport, hello timeout, port list,
+    detector ({!Dmx_sim.Detector.validate}: [0 < period < timeout]) and
     chaos plan ({!Dmx_sim.Network.validate}); messages carry a [swarm:]
     prefix. *)
 

@@ -23,13 +23,17 @@ let create cfg ~n ~self ~now =
   validate cfg;
   { cfg; self; n; last_heard = Array.make n now; suspected = Array.make n false }
 
+(* [src] may come off the network, where a frame can name any site *)
 let heartbeat t ~src ~now =
-  t.last_heard.(src) <- now;
-  if t.suspected.(src) then begin
-    t.suspected.(src) <- false;
-    true
+  if src < 0 || src >= t.n then false
+  else begin
+    t.last_heard.(src) <- now;
+    if t.suspected.(src) then begin
+      t.suspected.(src) <- false;
+      true
+    end
+    else false
   end
-  else false
 
 let sweep t ~now =
   let newly = ref [] in

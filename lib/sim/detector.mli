@@ -7,15 +7,21 @@
     heartbeat revokes them (a suspect/trust transition, in the terminology
     of Chandra–Toueg style eventually-perfect detectors).
 
-    The module only tracks timing state; the engine owns heartbeat
-    transmission and delivers suspicion/trust transitions to protocols as
-    [on_failure] / [on_recovery] callbacks. *)
+    The module only tracks timing state; its owner sends the heartbeats
+    and delivers suspicion/trust transitions to protocols as
+    [on_failure] / [on_recovery] callbacks. Two owners share it: the
+    engine's heartbeat mode on virtual time, and the live service daemon
+    ([Dmx_service.Snode]) on the wall clock, fed by every frame it
+    receives. *)
 
 type config = { period : float; timeout : float }
 
 val default : config
 (** period = 2.0, timeout = 10.0 — conservative for the default
     uniform(0.5, 1.5) delay model. *)
+
+val validate : config -> unit
+(** @raise Invalid_argument unless [0 < period < timeout]. *)
 
 val pp_config : Format.formatter -> config -> unit
 
@@ -28,7 +34,9 @@ val create : config -> n:int -> self:int -> now:float -> t
 
 val heartbeat : t -> src:int -> now:float -> bool
 (** Record a heartbeat (or any message) from [src]. Returns [true] when this
-    revokes a standing suspicion — a trust transition. *)
+    revokes a standing suspicion — a trust transition. A [src] outside
+    [\[0, n)] is ignored (returns [false]): a live frame can name any
+    site. *)
 
 val sweep : t -> now:float -> int list
 (** Check every peer's deadline; newly suspected sites, in ascending

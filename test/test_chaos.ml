@@ -99,8 +99,7 @@ let spec plan =
     max_batch = 8;
     seed = 42;
     epoch = 0.0;
-    hb_period = 0.1;
-    hb_timeout = 1.0;
+    detector = { Dmx_sim.Detector.period = 0.1; timeout = 1.0 };
     rto = 0.25;
     max_seconds = 60.0;
     transport = "tcp";

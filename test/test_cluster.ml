@@ -140,6 +140,49 @@ let test_chaos_udp_cluster () =
         true
         (get "reliable.retransmits{shard=0}" > 0)
 
+(* a partition that cuts site 0 off for longer than the heartbeat
+   timeout: the daemons on both sides of the cut suspect each other, and
+   every suspicion is false (nobody crashed) and revoked once the window
+   closes. The daemons' own suspicion counter must agree with the
+   Suspect entries of the merged trace. *)
+let test_partition_suspicions () =
+  let cfg =
+    {
+      (Cluster.default ~n:3) with
+      Cluster.protocol = "ft-delay-optimal";
+      quorum = Dmx_quorum.Builder.Majority;
+      chaos =
+        {
+          Dmx_sim.Network.no_faults with
+          Dmx_sim.Network.partitions =
+            [ { Dmx_sim.Network.from_t = 0.0; until = 1.5; groups = [ [ 0 ] ] } ];
+        };
+      detector = { Dmx_sim.Detector.period = 0.1; timeout = 0.5 };
+      rounds = 30;
+      cs_duration = 0.05;
+      timeout = 60.0;
+    }
+  in
+  match Cluster.run cfg with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    let r = o.Cluster.report in
+    if not (Oracle.ok o.Cluster.verdict && r.E.suspicions > 0) then begin
+      dump_trace_on_failure "partition-suspicions" o.Cluster.entries;
+      Format.eprintf "%a@." Cluster.pp_outcome o
+    end;
+    Alcotest.(check bool) "oracle accepts the merged trace" true
+      (Oracle.ok o.Cluster.verdict);
+    Alcotest.(check bool)
+      (Printf.sprintf "the partition raised suspicions (%d)" r.E.suspicions)
+      true (r.E.suspicions > 0);
+    Alcotest.(check int) "every suspicion was false" r.E.suspicions
+      r.E.false_suspicions;
+    Alcotest.(check int) "the daemons counted the same suspicions"
+      r.E.suspicions
+      (Option.value ~default:0
+         (List.assoc_opt "detector.suspicions" (Cluster.live_totals o)))
+
 (* a node that cannot bind its port must fail the run quickly, by name —
    not wedge the supervisor until the global timeout *)
 let test_bind_failure_names_the_node () =
@@ -217,6 +260,21 @@ let test_bad_configs () =
          (Cluster.default ~n:3) with
          Cluster.protocol = "nope";
          timeout = 10.0;
+       });
+  Alcotest.(check bool) "zero heartbeat period is rejected" true
+    (bad
+       {
+         (Cluster.default ~n:3) with
+         Cluster.detector = { Dmx_sim.Detector.period = 0.0; timeout = 1.0 };
+         timeout = 5.0;
+       });
+  Alcotest.(check bool) "heartbeat timeout not above the period is rejected"
+    true
+    (bad
+       {
+         (Cluster.default ~n:3) with
+         Cluster.detector = { Dmx_sim.Detector.period = 1.5; timeout = 1.0 };
+         timeout = 5.0;
        })
 
 let suite =
@@ -228,6 +286,8 @@ let suite =
     Alcotest.test_case
       "5-node UDP cluster under 20% loss + kill/restart (DMX_CLUSTER_FULL)"
       `Slow test_chaos_udp_cluster;
+    Alcotest.test_case "partition suspicions are false and counted" `Slow
+      test_partition_suspicions;
     Alcotest.test_case "bind failure fails fast and names the node" `Slow
       test_bind_failure_names_the_node;
     Alcotest.test_case "bad configurations rejected" `Quick test_bad_configs;

@@ -51,6 +51,21 @@ let test_reset () =
   Alcotest.(check (list int)) "deadlines restarted" [] (D.sweep d ~now:59.9);
   Alcotest.(check (list int)) "expire again" [ 1; 2 ] (D.sweep d ~now:60.1)
 
+(* a live daemon feeds the detector the sender a network frame names,
+   which can be any id: the supervisor's [n], an anonymous [-1], or
+   garbage *)
+let test_foreign_src_ignored () =
+  let d = D.create cfg ~n:3 ~self:0 ~now:0.0 in
+  List.iter
+    (fun src ->
+      Alcotest.(check bool)
+        (Printf.sprintf "src %d: no transition" src)
+        false
+        (D.heartbeat d ~src ~now:1.0))
+    [ -1; 3; 99; max_int; min_int ];
+  Alcotest.(check (list int)) "in-range peers unaffected" [ 1; 2 ]
+    (D.sweep d ~now:10.5)
+
 let test_config_validated () =
   let bad c =
     try
@@ -73,4 +88,5 @@ let suite =
       ("heartbeat revokes suspicion", test_trust_transition);
       ("reset forgives everyone", test_reset);
       ("config validated", test_config_validated);
+      ("out-of-range sender ignored", test_foreign_src_ignored);
     ]

@@ -474,6 +474,12 @@ let test_swarm_validation () =
     }
     "killing every node";
   bad { d with Swarm.protocol = "nope" } "unknown protocol";
+  bad
+    { d with Swarm.detector = { Dmx_sim.Detector.period = 0.0; timeout = 1.0 } }
+    "zero heartbeat period";
+  bad
+    { d with Swarm.detector = { Dmx_sim.Detector.period = 1.5; timeout = 1.0 } }
+    "heartbeat timeout below the period";
   (match Swarm.validate d with
   | Ok () -> ()
   | Error e -> Alcotest.failf "default should validate: %s" e);
