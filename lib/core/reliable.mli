@@ -66,13 +66,18 @@ val default : config
 (** rto = 3, backoff = 2, rto_max = 30, ack_delay = 0.5 — in units of the
     mean message delay T (rto comfortably above one round trip). *)
 
+val validate : config -> unit
+(** @raise Invalid_argument naming the first nonsensical field: [rto] or
+    [ack_delay] not positive (NaN included), [backoff] below 1, or
+    [rto_max] below [rto]. {!create} makes the same check. *)
+
 type t
 
 val create : config -> n:int -> self:int -> io:io -> t
 (** [io.now ()] at creation becomes this site's incarnation number, so the
     time source must be monotone across restarts of the same site (both
     engine virtual time and the wall clock qualify).
-    @raise Invalid_argument on a nonsensical config. *)
+    @raise Invalid_argument on a config {!validate} refuses. *)
 
 type incoming = {
   restarted : bool;

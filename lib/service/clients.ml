@@ -5,7 +5,6 @@
 module Trace = Dmx_sim.Trace
 module Summary = Dmx_sim.Stats.Summary
 module Rng = Dmx_sim.Rng
-module B = Dmx_quorum.Builder
 module Wire = Dmx_net.Wire
 
 type what = Start | Retry | Release | Renew | Failsafe
@@ -28,7 +27,7 @@ type workload = {
   abandon : float;
 }
 
-let check (w : workload) ~protocol ~quorum ~kills ~restarts =
+let check (w : workload) ~kills ~restarts =
   if w.n < 2 then Error "need at least 2 nodes"
   else if w.shards < 1 then Error "shards must be >= 1"
   else if w.clients < 1 then Error "clients must be >= 1"
@@ -38,14 +37,6 @@ let check (w : workload) ~protocol ~quorum ~kills ~restarts =
   else if w.lease <= 0.0 then Error "lease must be positive"
   else if w.abandon < 0.0 || w.abandon > 1.0 then
     Error "abandon must be a probability"
-  else if not (List.mem protocol [ "delay-optimal"; "ft-delay-optimal" ]) then
-    Error
-      (Printf.sprintf
-         "unknown protocol %S (want delay-optimal or ft-delay-optimal)"
-         protocol)
-  else if not (B.supports quorum ~n:w.n) then
-    Error
-      (Format.asprintf "quorum %a does not support n=%d" B.pp_kind quorum w.n)
   else if List.exists (fun (_, s) -> s < 0 || s >= w.n) (kills @ restarts)
   then Error "kill/restart node out of range"
   else if

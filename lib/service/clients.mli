@@ -46,16 +46,14 @@ type workload = {
 
 val check :
   workload ->
-  protocol:string ->
-  quorum:Dmx_quorum.Builder.kind ->
   kills:(float * int) list ->
   restarts:(float * int) list ->
   (unit, string) result
 (** The validation both drivers make of the fields they share, with an
-    unprefixed message: sizes, probabilities, the protocol and quorum,
-    and a kill/restart schedule whose nodes are in range, which leaves
-    a node alive, and where every restart follows a kill of the same
-    node. *)
+    unprefixed message: sizes, probabilities, and a kill/restart
+    schedule whose nodes are in range, which leaves a node alive, and
+    where every restart follows a kill of the same node. The protocol,
+    quorum and [rto] are {!Host.protocol}'s to check. *)
 
 type t
 

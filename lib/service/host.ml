@@ -4,20 +4,85 @@
    One host owns this node's slice of every shard: a protocol instance
    (one per shard, over rotated site ids — see Shard_map) plus the
    Lease machine that adapts client sessions to the protocol's single
-   CS. The host never touches a socket or a clock directly; everything
-   flows through the [caps] record, so the same code runs on the wall
-   clock over UDP and on virtual time inside a test. *)
+   CS. The host never touches a socket or a clock directly; frames come
+   in through [on_frame] and everything else flows through the [caps]
+   record, so the same code runs on the wall clock over UDP and on
+   virtual time inside a test. *)
 
 module Proto = Dmx_sim.Protocol
 module Trace = Dmx_sim.Trace
 module Lease = Dmx_core.Lease
+module Wire = Dmx_net.Wire
+module B = Dmx_quorum.Builder
 
 type caps = {
   now : unit -> float;
-  send_shard : shard:int -> dst_node:int -> string -> unit;
-  send_client : Dmx_net.Wire.frame -> unit;
+  send : dst:int -> Wire.frame -> unit;
   set_timer : shard:int -> tag:int -> delay:float -> unit;
 }
+
+type protocol =
+  | Protocol : {
+      proto :
+        (module Proto.PROTOCOL
+           with type message = Dmx_core.Messages.t
+            and type state = 's
+            and type config = 'c);
+      pconfig : shard:int -> 'c;
+      live_stats : 's -> (string * int) list;
+      attach_obs :
+        's -> labels:(string * string) list -> Dmx_obs.Registry.t -> unit;
+    }
+      -> protocol
+
+let protocol ~name ~quorum ~n ~rto =
+  if not (B.supports quorum ~n) then
+    Error (Format.asprintf "quorum %a does not support n=%d" B.pp_kind quorum n)
+  else
+    match name with
+    | "delay-optimal" ->
+      Ok
+        (Protocol
+           {
+             proto = (module Dmx_core.Delay_optimal);
+             pconfig =
+               (fun ~shard:_ ->
+                 Dmx_core.Delay_optimal.config (B.req_sets quorum ~n));
+             live_stats = (fun _ -> []);
+             attach_obs = (fun _ ~labels:_ _ -> ());
+           })
+    | "ft-delay-optimal" -> (
+      let module Ft = Dmx_core.Ft_delay_optimal in
+      let module R = Dmx_core.Reliable in
+      let reliability =
+        { R.rto; backoff = 2.0; rto_max = 16.0 *. rto; ack_delay = 0.1 *. rto }
+      in
+      match R.validate reliability with
+      | exception Invalid_argument e -> Error e
+      | () ->
+        Ok
+          (Protocol
+             {
+               proto = (module Ft);
+               pconfig =
+                 (fun ~shard:_ ->
+                   Ft.config_of_kind ~reliability ~trust_detector:false quorum
+                     ~n ~broadcast:false);
+               live_stats =
+                 (fun st ->
+                   match Ft.Internal.reliable st with
+                   | Some r -> R.stats_alist r
+                   | None -> []);
+               attach_obs =
+                 (fun st ~labels reg ->
+                   Option.iter
+                     (fun r -> R.attach ~labels r reg)
+                     (Ft.Internal.reliable st));
+             }))
+    | p ->
+      Error
+        (Printf.sprintf
+           "unknown protocol %S (want delay-optimal or ft-delay-optimal)" p)
 
 module Make (P : Proto.PROTOCOL) = struct
   type codec = {
@@ -112,9 +177,10 @@ module Make (P : Proto.PROTOCOL) = struct
               else begin
                 t.sent <- t.sent + 1;
                 count_kind t (P.message_kind msg);
-                caps.send_shard ~shard:index
-                  ~dst_node:(Shard_map.node_of_site ~shard:index ~n dst)
-                  (codec.encode msg)
+                let dst = Shard_map.node_of_site ~shard:index ~n dst in
+                let payload = codec.encode msg in
+                caps.send ~dst
+                  (Wire.Sproto { shard = index; src = self; dst; payload })
               end);
           enter_cs = (fun () -> pending_enter := true);
           set_timer =
@@ -157,13 +223,12 @@ module Make (P : Proto.PROTOCOL) = struct
     List.iter
       (function
         | Lease.Grant { session; req; deadline } ->
-          t.caps.send_client
-            (Dmx_net.Wire.Grant
-               { session; lock = lock_of t ~session ~req; req; deadline })
+          let lock = lock_of t ~session ~req in
+          t.caps.send ~dst:t.n (Wire.Grant { session; lock; req; deadline })
         | Lease.Expire { session; req } ->
           let lock = lock_of t ~session ~req in
           Hashtbl.remove t.locks (session, req);
-          t.caps.send_client (Dmx_net.Wire.Expire { session; lock; req })
+          t.caps.send ~dst:t.n (Wire.Expire { session; lock; req })
         | Lease.Request_cs ->
           trace t sh Trace.Request;
           P.request_cs sh.pctx sh.pstate
@@ -188,7 +253,7 @@ module Make (P : Proto.PROTOCOL) = struct
 
   let deny t ~session ~lock ~req ~reason =
     t.denies <- t.denies + 1;
-    t.caps.send_client (Dmx_net.Wire.Deny { session; lock; req; reason })
+    t.caps.send ~dst:t.n (Wire.Deny { session; lock; req; reason })
 
   let drop_session_locks t ~session =
     let stale =
@@ -243,8 +308,14 @@ module Make (P : Proto.PROTOCOL) = struct
       (fun sh -> perform t sh (Lease.void_session sh.lease ~session))
       t.shards
 
+  (* [shard] and [src_node] come off the network: a frame naming either
+     out of range is dropped, not allowed to raise in the rotation *)
   let on_sproto t ~shard ~src_node payload =
-    if shard >= 0 && shard < Array.length t.shards then begin
+    if
+      shard >= 0
+      && shard < Array.length t.shards
+      && src_node >= 0 && src_node < t.n
+    then begin
       let sh = t.shards.(shard) in
       match t.codec.decode payload with
       | Ok msg ->
@@ -259,6 +330,18 @@ module Make (P : Proto.PROTOCOL) = struct
              (Printf.sprintf "undecodable shard message from %d: %s" src_node
                 e))
     end
+
+  let on_frame t (frame : Wire.frame) =
+    match frame with
+    | Sproto { shard; src; payload; _ } ->
+      on_sproto t ~shard ~src_node:src payload
+    | Open_session { session; inc } -> open_session t ~session ~inc
+    | Acquire { session; lock; req } -> acquire t ~session ~lock ~req
+    | Release_lock { session; lock; req } -> release t ~session ~lock ~req
+    | Renew { session; lock; req } -> renew t ~session ~lock ~req
+    | Hello _ | Heartbeat _ | Workload _ | Shutdown | Grant _ | Deny _
+    | Expire _ | Strace _ | Metrics _ | Metrics_v2 _ ->
+      ()
 
   let on_timer t ~shard ~tag =
     if shard >= 0 && shard < Array.length t.shards then begin

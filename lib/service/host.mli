@@ -5,14 +5,14 @@
     [shards] independent protocol instances it holds that instance's
     per-site state (under the {!Shard_map} rotation of site ids) and the
     {!Dmx_core.Lease} machine that adapts client sessions to the
-    instance's single critical section. Client control frames
-    ([Open_session]/[Acquire]/[Release_lock]/[Renew]) come in through
-    the event functions below; lease outcomes ([Grant]/[Deny]/[Expire])
-    and inter-node shard traffic ([Sproto]) go out through the {!caps}
-    capabilities — the host itself never touches a socket, a clock, or
-    a timer wheel, which is precisely what lets {!Snode} run it on the
-    wall clock and {!Sim_swarm} on virtual time, byte-for-byte the same
-    code.
+    instance's single critical section. Shard traffic ([Sproto]) and
+    client control frames ([Open_session]/[Acquire]/[Release_lock]/
+    [Renew]) come in through {!Make.on_frame}; lease outcomes
+    ([Grant]/[Deny]/[Expire]) and [Sproto] go out through the one
+    [send] of {!caps} — the host itself never touches a socket, a
+    clock, or a timer wheel, which is precisely what lets {!Snode} run
+    it on the wall clock and {!Sim_swarm} on virtual time, byte-for-byte
+    the same code.
 
     Trace entries are kept {e per shard}, in the shard's own rotated
     site-id space, so each shard's merged log looks to the unmodified
@@ -22,16 +22,43 @@
     base: the wall clock in the daemon, virtual time in the simulator. *)
 type caps = {
   now : unit -> float;
-  send_shard : shard:int -> dst_node:int -> string -> unit;
-      (** deliver an encoded protocol message to a peer node (wrapped in
-          a [Sproto] frame on the live path) *)
-  send_client : Dmx_net.Wire.frame -> unit;
-      (** emit a [Grant]/[Deny]/[Expire] toward the session gateway *)
+  send : dst:int -> Dmx_net.Wire.frame -> unit;
+      (** deliver a frame: [Sproto] to peer node [dst] in [0, n), and
+          [Grant]/[Deny]/[Expire] to the session gateway, [dst = n] *)
   set_timer : shard:int -> tag:int -> delay:float -> unit;
       (** one-shot timer, routed back through {!Make.on_timer} with the
           same [shard] and [tag]. Protocol timers use the protocol's own
           tags; lease timers use {!Dmx_core.Lease.timer_tag}. *)
 }
+
+(** A named protocol: its module, each shard's configuration, and its
+    own counters ([live_stats] for the final [Metrics] frame,
+    [attach_obs] as in {!Make.attach_obs}). *)
+type protocol =
+  | Protocol : {
+      proto :
+        (module Dmx_sim.Protocol.PROTOCOL
+           with type message = Dmx_core.Messages.t
+            and type state = 's
+            and type config = 'c);
+      pconfig : shard:int -> 'c;
+      live_stats : 's -> (string * int) list;
+      attach_obs :
+        's -> labels:(string * string) list -> Dmx_obs.Registry.t -> unit;
+    }
+      -> protocol
+
+val protocol :
+  name:string ->
+  quorum:Dmx_quorum.Builder.kind ->
+  n:int ->
+  rto:float ->
+  (protocol, string) result
+(** The service's protocol table: ["delay-optimal"], or
+    ["ft-delay-optimal"] over {!Dmx_core.Reliable} with base timeout
+    [rto] (backoff 2, ceiling [16 rto], ack delay [rto / 10]). [Error]
+    names an unknown protocol, a quorum that does not support [n], or
+    an [rto] {!Dmx_core.Reliable.validate} refuses. *)
 
 module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
   type codec = {
@@ -82,9 +109,12 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
 
   (** {2 Network and timer events} *)
 
-  val on_sproto : t -> shard:int -> src_node:int -> string -> unit
-  (** A peer node's protocol message for [shard]; undecodable payloads
-      are traced and dropped, out-of-range shards ignored. *)
+  val on_frame : t -> Dmx_net.Wire.frame -> unit
+  (** Handle a received frame. [Sproto] is a peer node's protocol
+      message: an out-of-range shard or sender is ignored, an
+      undecodable payload traced and dropped. The four session frames
+      go to {!open_session}, {!acquire}, {!release} and {!renew}; any
+      other frame is the driver's and is ignored. Does not {!tick}. *)
 
   val on_timer : t -> shard:int -> tag:int -> unit
   val on_node_failure : t -> node:int -> unit

@@ -69,21 +69,23 @@ let workload (cfg : config) =
     abandon = cfg.abandon;
   }
 
-let validate (cfg : config) =
+let resolve (cfg : config) =
   Result.map_error (( ^ ) "sim-swarm: ")
     (match
-       Clients.check (workload cfg) ~protocol:cfg.protocol ~quorum:cfg.quorum
-         ~kills:cfg.kills ~restarts:cfg.restarts
+       Clients.check (workload cfg) ~kills:cfg.kills ~restarts:cfg.restarts
      with
     | Ok () when cfg.latency <= 0.0 -> Error "latency must be positive"
-    | r -> r)
+    | Ok () ->
+      Host.protocol ~name:cfg.protocol ~quorum:cfg.quorum ~n:cfg.n ~rto:cfg.rto
+    | Error _ as e -> e)
+
+let validate cfg = Result.map ignore (resolve cfg)
 
 module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
   module H = Host.Make (P)
 
   type ev =
-    | To_node of { node : int; frame : Wire.frame }
-    | To_driver of Wire.frame
+    | Frame of { dst : int; frame : Wire.frame }  (* dst = n: the driver *)
     | Timer of { node : int; gen : int; shard : int; tag : int }
     | Wakeup of { client : int; what : Clients.what }
     | Kill of int
@@ -109,9 +111,9 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           ~delay:(Network.Exponential { mean = cfg.latency })
           ~rng ()
       in
-      let link ~src ~dst =
+      let deliver ~src ~dst frame =
         match Network.delivery_time net ~src ~dst ~now:(now ()) with
-        | Some at -> at
+        | Some at -> sched ~at (Frame { dst; frame })
         | None -> assert false (* no faults, and no endpoint ever crashes *)
       in
       let clients =
@@ -119,11 +121,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
           ~caps:
             {
               Clients.now;
-              send =
-                (fun ~node frame ->
-                  sched
-                    ~at:(link ~src:cfg.n ~dst:node)
-                    (To_node { node; frame }));
+              send = (fun ~node frame -> deliver ~src:cfg.n ~dst:node frame);
               wake =
                 (fun ~at ~client what -> sched ~at (Wakeup { client; what }));
             }
@@ -140,18 +138,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         let caps =
           {
             Host.now;
-            send_shard =
-              (fun ~shard ~dst_node payload ->
-                sched ~at:(link ~src:node ~dst:dst_node)
-                  (To_node
-                     {
-                       node = dst_node;
-                       frame =
-                         Wire.Sproto { shard; src = node; dst = dst_node; payload };
-                     }));
-            send_client =
-              (fun frame ->
-                sched ~at:(link ~src:node ~dst:cfg.n) (To_driver frame));
+            send = deliver ~src:node;
             set_timer =
               (fun ~shard ~tag ~delay ->
                 sched ~at:(now () +. delay)
@@ -175,23 +162,6 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         List.iter
           (fun (shard, es) -> Clients.push_trace clients ~shard es)
           (H.drain_traces hosts.(node))
-      in
-      let node_frame node frame =
-        if alive node then begin
-          let host = hosts.(node) in
-          (match frame with
-          | Wire.Sproto { shard; src; payload; _ } ->
-            H.on_sproto host ~shard ~src_node:src payload
-          | Wire.Open_session { session; inc } ->
-            H.open_session host ~session ~inc
-          | Wire.Acquire { session; lock; req } ->
-            H.acquire host ~session ~lock ~req
-          | Wire.Release_lock { session; lock; req } ->
-            H.release host ~session ~lock ~req
-          | Wire.Renew { session; lock; req } -> H.renew host ~session ~lock ~req
-          | _ -> ());
-          H.tick host
-        end
       in
       let notify_peers site ~up =
         for peer = 0 to cfg.n - 1 do
@@ -232,8 +202,13 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
         | None -> stuck := true
         | Some { payload; _ } -> (
           match payload with
-          | To_node { node; frame } -> node_frame node frame
-          | To_driver frame -> Clients.on_frame clients frame
+          | Frame { dst; frame } when dst = cfg.n ->
+            Clients.on_frame clients frame
+          | Frame { dst; frame } ->
+            if alive dst then begin
+              H.on_frame hosts.(dst) frame;
+              H.tick hosts.(dst)
+            end
           | Timer { node; gen; shard; tag } ->
             if alive node && gens.(node) = gen then begin
               H.on_timer hosts.(node) ~shard ~tag;
@@ -283,34 +258,11 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
 end
 
 let run_named (cfg : config) =
-  match cfg.protocol with
-  | "delay-optimal" ->
-    let module R = Run (Dmx_core.Delay_optimal) in
+  match resolve cfg with
+  | Error _ as e -> e
+  | Ok (Host.Protocol { proto = (module P); pconfig; live_stats; attach_obs })
+    ->
+    let module R = Run (P) in
     R.run cfg
       ~codec:{ R.H.encode = Wire.encode_message; decode = Wire.decode_message }
-      (fun ~shard:_ ->
-        Dmx_core.Delay_optimal.config (B.req_sets cfg.quorum ~n:cfg.n))
-  | "ft-delay-optimal" ->
-    let module R = Run (Dmx_core.Ft_delay_optimal) in
-    let reliability =
-      {
-        Dmx_core.Reliable.rto = cfg.rto;
-        backoff = 2.0;
-        rto_max = 16.0 *. cfg.rto;
-        ack_delay = 0.1 *. cfg.rto;
-      }
-    in
-    R.run cfg
-      ~codec:{ R.H.encode = Wire.encode_message; decode = Wire.decode_message }
-      ~live_stats:(fun st ->
-        match Dmx_core.Ft_delay_optimal.Internal.reliable st with
-        | Some r -> Dmx_core.Reliable.stats_alist r
-        | None -> [])
-      ~attach_obs:(fun st ~labels reg ->
-        match Dmx_core.Ft_delay_optimal.Internal.reliable st with
-        | Some r -> Dmx_core.Reliable.attach ~labels r reg
-        | None -> ())
-      (fun ~shard:_ ->
-        Dmx_core.Ft_delay_optimal.config_of_kind ~reliability
-          ~trust_detector:false cfg.quorum ~n:cfg.n ~broadcast:false)
-  | p -> Error (Printf.sprintf "sim-swarm: unknown protocol %S" p)
+      ~live_stats ~attach_obs pconfig

@@ -4,7 +4,8 @@
     as the live driver, but on one {!Dmx_sim.Event_queue} with a seeded
     RNG driving think times, abandon decisions and per-frame link
     latencies (a {!Dmx_sim.Network} with the driver as endpoint [n]:
-    channel-FIFO, like the TCP path). Node kills discard the host
+    channel-FIFO, like the TCP path), delivering to
+    {!Host.Make.on_frame} as the daemon does. Node kills discard the host
     (fresh state on restart, stale timers fenced by a generation
     counter) and notify peers after [detect_delay], mirroring the live
     failure detector. Two runs with the same config are identical —
@@ -40,8 +41,9 @@ val default : n:int -> config
 (** 4 shards, 64 clients x 3 rounds, 1 ms links, 50 ms detection. *)
 
 val validate : config -> (unit, string) result
-(** {!Clients.check}, plus a positive [latency]; messages carry a
-    [sim-swarm:] prefix. *)
+(** {!Clients.check}, a positive [latency], and {!Host.protocol} on
+    [protocol], [quorum] and [rto]; messages carry a [sim-swarm:]
+    prefix. *)
 
 (** Instantiated per protocol; {!run_named} covers the named ones. *)
 module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
@@ -56,12 +58,12 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
     (shard:int -> P.config) ->
     (Swarm.outcome, string) result
   (** [attach_obs] binds protocol-owned metric cells under per-shard
-      labels, exactly as in {!Snode.Run.run} — here into per-host
-      registries recorded under virtual time, so the outcome's
+      labels ({!Host.Make.attach_obs}), as the live daemon does — here
+      into per-host registries recorded under virtual time, so the outcome's
       [snapshots] and [driver_snapshot] are a pure function of the
       config (the determinism suite checks bit-identity across runs). *)
 end
 
 val run_named : config -> (Swarm.outcome, string) result
-(** Resolve [protocol]/[quorum] exactly as {!Snode.run_named} does and
-    run the simulation. *)
+(** Resolve [protocol]/[quorum] through {!Host.protocol}, the table
+    {!Snode.run_named} uses, and run the simulation. *)

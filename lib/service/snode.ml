@@ -110,19 +110,19 @@ let spec_of_string str =
 
 let supervisor_silence_limit = 30.0
 
-let debug =
-  match Sys.getenv_opt "DMX_NET_DEBUG" with Some "1" -> true | _ -> false
-
-let dbg fmt =
-  if debug then Printf.eprintf (fmt ^^ "\n%!")
-  else Printf.ifprintf stderr fmt
+(* Control frames are anonymous on a datagram transport, so each one
+   counts as driver contact by itself. *)
+let from_driver : Wire.frame -> bool = function
+  | Open_session _ | Acquire _ | Release_lock _ | Renew _ | Shutdown
+  | Workload _ ->
+    true
+  | _ -> false
 
 module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
   module H = Host.Make (P)
 
-  let run (spec : spec) ~(codec : H.codec) ?(live_stats = fun _ -> [])
-      ?(attach_obs = fun _ ~labels:_ _ -> ()) (pconfig : shard:int -> P.config)
-      =
+  let run (spec : spec) ~(codec : H.codec) ~live_stats ~attach_obs
+      (pconfig : shard:int -> P.config) =
     let now () = Unix.gettimeofday () -. spec.epoch in
     let started = now () in
     let hello_inc = Unix.gettimeofday () in
@@ -169,11 +169,7 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
     let caps =
       {
         Host.now;
-        send_shard =
-          (fun ~shard ~dst_node payload ->
-            transport.send ~dst:dst_node
-              (Wire.Sproto { shard; src = spec.site; dst = dst_node; payload }));
-        send_client = (fun frame -> transport.send ~dst:spec.n frame);
+        send = transport.send;
         set_timer =
           (fun ~shard ~tag ~delay ->
             let at = now () +. delay in
@@ -287,46 +283,22 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       fire_timers ();
       H.tick host;
       (* network frames. Any frame from a site is evidence it is alive,
-         and revokes a standing suspicion before the frame is handled.
-         Control frames are anonymous on a datagram transport, so each one
-         counts as driver contact by itself. *)
+         and revokes a standing suspicion before the frame is handled. *)
       let rec drain () =
         match transport.poll () with
         | None -> ()
         | Some (src, frame) ->
           let at = now () in
-          let driver_frame () = last_super_contact := at in
-          if src = spec.n then driver_frame ();
+          if src = spec.n || from_driver frame then last_super_contact := at;
           if Detector.heartbeat detector ~src ~now:at then
             H.on_node_recovery host ~node:src;
           (match frame with
-          | Wire.Sproto { shard; src = src_node; payload; _ } ->
-            H.on_sproto host ~shard ~src_node payload
-          | Wire.Open_session { session; inc } ->
-            driver_frame ();
-            H.open_session host ~session ~inc
-          | Wire.Acquire { session; lock; req } ->
-            driver_frame ();
-            H.acquire host ~session ~lock ~req
-          | Wire.Release_lock { session; lock; req } ->
-            driver_frame ();
-            H.release host ~session ~lock ~req
-          | Wire.Renew { session; lock; req } ->
-            driver_frame ();
-            H.renew host ~session ~lock ~req
-          | Wire.Shutdown ->
-            driver_frame ();
-            dbg "snode %d: shutdown at %.3f" spec.site (now ());
-            shutdown := true
+          | Wire.Shutdown -> shutdown := true
           | Wire.Workload { since } ->
             (* repeats carry the same epoch, so re-anchoring is harmless *)
-            driver_frame ();
             workload_seen := true;
             Option.iter (fun c -> Chaos.set_zero c (spec.epoch +. since)) shim
-          | Wire.Hello _ | Wire.Heartbeat _ | Wire.Metrics _
-          | Wire.Metrics_v2 _ | Wire.Grant _ | Wire.Deny _ | Wire.Expire _
-          | Wire.Strace _ ->
-            ());
+          | _ -> H.on_frame host frame);
           drain ()
       in
       drain ();
@@ -334,7 +306,6 @@ module Run (P : Dmx_sim.Protocol.PROTOCOL) = struct
       if now () -. !last_flush > 0.2 then flush_traces ();
       Unix.sleepf 0.0002
     done;
-    dbg "snode %d: exiting at %.3f (shutdown=%b)" spec.site (now ()) !shutdown;
     flush_traces ();
     metrics ();
     (* let the final frames drain before tearing the sockets down *)
@@ -346,55 +317,23 @@ end
 let run_named (spec : spec) =
   match B.parse_kind spec.quorum with
   | Error e -> Error e
-  | Ok kind -> (
+  | Ok quorum -> (
     let n = spec.n in
     if spec.site < 0 || spec.site >= n then Error "site out of range"
     else if Array.length spec.node_ports <> n then Error "ports/n mismatch"
     else if spec.shards < 1 then Error "shards must be >= 1"
-    else if not (B.supports kind ~n) then
-      Error
-        (Format.asprintf "quorum %a does not support n=%d" B.pp_kind kind n)
     else
-      match spec.protocol with
-      | "delay-optimal" ->
-        let module R = Run (Dmx_core.Delay_optimal) in
+      match Host.protocol ~name:spec.protocol ~quorum ~n ~rto:spec.rto with
+      | Error e -> Error e
+      | Ok
+          (Host.Protocol
+            { proto = (module P); pconfig; live_stats; attach_obs }) ->
+        let module R = Run (P) in
         R.run spec
           ~codec:
-            {
-              R.H.encode = Wire.encode_message;
-              decode = Wire.decode_message;
-            }
-          (fun ~shard:_ -> Dmx_core.Delay_optimal.config (B.req_sets kind ~n));
-        Ok ()
-      | "ft-delay-optimal" ->
-        let module R = Run (Dmx_core.Ft_delay_optimal) in
-        let reliability =
-          {
-            Dmx_core.Reliable.rto = spec.rto;
-            backoff = 2.0;
-            rto_max = 16.0 *. spec.rto;
-            ack_delay = 0.1 *. spec.rto;
-          }
-        in
-        R.run spec
-          ~codec:
-            {
-              R.H.encode = Wire.encode_message;
-              decode = Wire.decode_message;
-            }
-          ~live_stats:(fun st ->
-            match Dmx_core.Ft_delay_optimal.Internal.reliable st with
-            | Some r -> Dmx_core.Reliable.stats_alist r
-            | None -> [])
-          ~attach_obs:(fun st ~labels reg ->
-            match Dmx_core.Ft_delay_optimal.Internal.reliable st with
-            | Some r -> Dmx_core.Reliable.attach ~labels r reg
-            | None -> ())
-          (fun ~shard:_ ->
-            Dmx_core.Ft_delay_optimal.config_of_kind ~reliability
-              ~trust_detector:false kind ~n ~broadcast:false);
-        Ok ()
-      | p -> Error (Printf.sprintf "unknown protocol %S" p))
+            { R.H.encode = Wire.encode_message; decode = Wire.decode_message }
+          ~live_stats ~attach_obs pconfig;
+        Ok ())
 
 let run_as_child_if_requested () =
   match Sys.getenv_opt env_var with

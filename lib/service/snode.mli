@@ -2,14 +2,16 @@
     every shard over a real transport.
 
     The one live daemon of the repository, behind both {!Swarm} and
-    {!Cluster}. It runs over any {!Dmx_net.Transports} name, wraps its
-    sends in the {!Dmx_net.Chaos} shim when a plan is in force, beats
-    heartbeats and runs a {!Dmx_sim.Detector} on the frames it hears
-    (suspicions go to every shard as node failures, counted as
-    [detector.suspicions]), exits on driver silence, dispatches the
-    session/lease control frames into a {!Host} and streams each shard's
-    trace as [Strace] frames, so the driver can run the unmodified oracle
-    per shard. All client traffic arrives multiplexed over the driver's link
+    {!Cluster}. It hands every frame it receives to
+    {!Host.Make.on_frame}, and the host sends through the transport.
+    The rest is what only a live node needs: it runs over any
+    {!Dmx_net.Transports} name, wraps its sends in the {!Dmx_net.Chaos}
+    shim when a plan is in force, beats heartbeats and runs a
+    {!Dmx_sim.Detector} on the frames it hears (suspicions go to every
+    shard as node failures, counted as [detector.suspicions]), exits on
+    the driver's [Shutdown] or silence, and streams each shard's trace
+    as [Strace] frames, so the driver can run the unmodified oracle per
+    shard. All client traffic arrives multiplexed over the driver's link
     (peer id [n]); responses go back the same way.
 
     The daemon says [Hello] every heartbeat period until the driver's
@@ -55,27 +57,10 @@ val run_as_child_if_requested : unit -> unit
     [exit]. Must be called before the host executable does anything
     else. *)
 
-(** Run the daemon for a specific protocol. *)
-module Run (P : Dmx_sim.Protocol.PROTOCOL) : sig
-  module H : module type of Host.Make (P)
-
-  val run :
-    spec ->
-    codec:H.codec ->
-    ?live_stats:(P.state -> (string * int) list) ->
-    ?attach_obs:
-      (P.state -> labels:(string * string) list -> Dmx_obs.Registry.t -> unit) ->
-    (shard:int -> P.config) ->
-    unit
-  (** Blocks until the driver's [Shutdown], driver silence beyond 30 s,
-      or [spec.max_seconds]. [live_stats] extracts per-shard protocol
-      counters for the final [Metrics] frame; [attach_obs] binds
-      protocol-owned metric cells into the daemon's registry under
-      per-shard labels (see {!Host.Make.attach_obs}), which feeds the
-      [spec.metrics_port] scrape endpoint and the final
-      {!Dmx_net.Wire.frame.Metrics_v2}. *)
-end
-
 val run_named : spec -> (unit, string) result
-(** Resolve [spec.protocol] (["delay-optimal"] or ["ft-delay-optimal"])
-    and [spec.quorum], and run the daemon. *)
+(** Resolve [spec.quorum] and [spec.protocol] through {!Host.protocol}
+    and run the daemon. It blocks until the driver's [Shutdown], driver
+    silence beyond 30 s, or [spec.max_seconds]. Its metrics registry
+    (lease and protocol cells per shard, transport and chaos probes)
+    feeds the [spec.metrics_port] scrape endpoint and the final
+    {!Dmx_net.Wire.frame.Metrics_v2}. *)

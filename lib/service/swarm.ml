@@ -117,11 +117,14 @@ let workload (cfg : config) =
 
 let check (cfg : config) =
   match
-    Clients.check (workload cfg) ~protocol:cfg.protocol ~quorum:cfg.quorum
-      ~kills:cfg.kills ~restarts:cfg.restarts
+    Result.bind
+      (Clients.check (workload cfg) ~kills:cfg.kills ~restarts:cfg.restarts)
+      (fun () ->
+        Host.protocol ~name:cfg.protocol ~quorum:cfg.quorum ~n:cfg.n
+          ~rto:cfg.rto)
   with
-  | Error _ as e -> e
-  | Ok () ->
+  | Error e -> Error e
+  | Ok _ ->
     if not (List.mem cfg.transport Transports.names) then
       Error
         (Printf.sprintf "unknown transport %S (want %s)" cfg.transport

@@ -68,7 +68,8 @@ val default : n:int -> config
     chaos, TCP. *)
 
 val validate : config -> (unit, string) result
-(** {!Clients.check}, plus the transport, hello timeout, port list,
+(** {!Clients.check}, {!Host.protocol} on [protocol], [quorum] and
+    [rto], plus the transport, hello timeout, port list,
     detector ({!Dmx_sim.Detector.validate}: [0 < period < timeout]) and
     chaos plan ({!Dmx_sim.Network.validate}); messages carry a [swarm:]
     prefix. *)

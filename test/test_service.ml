@@ -56,7 +56,7 @@ module Host = Dmx_service.Host.Make (Dmx_core.Delay_optimal)
 type fake = {
   mutable vnow : float;
   mutable client_out : Wire.frame list;  (* newest first *)
-  mutable shard_out : (int * int * string) list;
+  mutable shard_out : (int * Wire.frame) list;  (* (dst node, frame) *)
   mutable timers : (float * int * int) list;  (* (at, shard, tag) *)
 }
 
@@ -66,10 +66,10 @@ let make_host ?(n = 3) ?(shards = 2) ?(lease = 1.0) ?(max_batch = 8) ~self ()
   let caps =
     {
       Dmx_service.Host.now = (fun () -> f.vnow);
-      send_shard =
-        (fun ~shard ~dst_node payload ->
-          f.shard_out <- (shard, dst_node, payload) :: f.shard_out);
-      send_client = (fun fr -> f.client_out <- fr :: f.client_out);
+      send =
+        (fun ~dst fr ->
+          if dst = n then f.client_out <- fr :: f.client_out
+          else f.shard_out <- (dst, fr) :: f.shard_out);
       set_timer =
         (fun ~shard ~tag ~delay ->
           f.timers <- (f.vnow +. delay, shard, tag) :: f.timers);
@@ -173,6 +173,74 @@ let test_host_expiry_and_incarnation () =
   Alcotest.(check (option int))
     "stale hold voided" (Some 1)
     (List.assoc_opt "lease.voided" (Host.lease_stats host))
+
+(* every frame a node receives goes through on_frame: the session
+   frames reach the lease machine, protocol sends leave as Sproto from
+   this node, and frames that are the driver's business are ignored *)
+let test_host_on_frame () =
+  let self = 0 in
+  let host, f = make_host ~self ~shards:3 () in
+  List.iter (Host.on_frame host)
+    [
+      Wire.Hello { site = 1; inc = 1.0 };
+      Wire.Heartbeat { site = 1; time = 0.5 };
+      Wire.Workload { since = 0.0 };
+      Wire.Shutdown;
+      Wire.Grant { session = 7; lock = "x"; req = 1; deadline = 1.0 };
+      Wire.Strace { shard = 0; site = 1; entries = [] };
+      Wire.Metrics_v2 { site = 1; snapshot = Dmx_obs.Snapshot.empty };
+    ];
+  drain_grant host;
+  Alcotest.(check int) "no client frame" 0 (List.length f.client_out);
+  Alcotest.(check int) "no shard frame" 0 (List.length f.shard_out);
+  Alcotest.(check int) "no timer" 0 (List.length f.timers);
+  Alcotest.(check int) "no trace" 0 (List.length (Host.drain_traces host));
+  let lock = local_lock host ~shard:self in
+  Host.on_frame host (Wire.Open_session { session = 7; inc = 1.0 });
+  Host.on_frame host (Wire.Acquire { session = 7; lock; req = 1 });
+  drain_grant host;
+  (match f.client_out with
+  | [ Wire.Grant { session = 7; lock = l; req = 1; _ } ] ->
+    Alcotest.(check string) "lock echoed" lock l
+  | other ->
+    Alcotest.failf "expected exactly one Grant, got %d frame(s)"
+      (List.length other));
+  (* shard 2's arbiter, site 0, lives on node 2 under the rotation *)
+  let remote = 2 in
+  Host.on_frame host
+    (Wire.Acquire
+       { session = 7; lock = local_lock host ~shard:remote; req = 2 });
+  drain_grant host;
+  match f.shard_out with
+  | [ (dst, Wire.Sproto { shard; src; dst = dst'; payload }) ] ->
+    Alcotest.(check int) "shard" remote shard;
+    Alcotest.(check int) "src is this node" self src;
+    Alcotest.(check int) "rotated destination" remote dst;
+    Alcotest.(check int) "frame names its destination" dst dst';
+    (match Wire.decode_message payload with
+    | Ok (Dmx_core.Messages.Request _) -> ()
+    | _ -> Alcotest.fail "expected an encoded Request")
+  | other ->
+    Alcotest.failf "expected exactly one Sproto, got %d frame(s)"
+      (List.length other)
+
+(* an Sproto naming a sender or shard outside the system is dropped: the
+   rotation must not raise inside a live daemon's loop *)
+let test_host_drops_hostile_sproto () =
+  let host, f = make_host ~n:3 ~self:0 () in
+  let payload =
+    Wire.encode_message
+      (Dmx_core.Messages.Request { Dmx_sim.Timestamp.sn = 1; site = 1 })
+  in
+  List.iter
+    (fun (shard, src) ->
+      Host.on_frame host (Wire.Sproto { shard; src; dst = 0; payload }))
+    [ (0, 3); (0, -1); (0, 99); (2, 1); (-1, 1) ];
+  drain_grant host;
+  Alcotest.(check int) "nothing received" 0 (Host.received host);
+  Alcotest.(check int) "no client frame" 0 (List.length f.client_out);
+  Alcotest.(check int) "no shard frame" 0 (List.length f.shard_out);
+  Alcotest.(check int) "no trace" 0 (List.length (Host.drain_traces host))
 
 (* ---- client population, through fake capabilities ---- *)
 
@@ -474,6 +542,8 @@ let test_swarm_validation () =
     }
     "killing every node";
   bad { d with Swarm.protocol = "nope" } "unknown protocol";
+  bad { d with Swarm.rto = 0.0 } "zero rto";
+  bad { d with Swarm.rto = Float.nan } "NaN rto";
   bad
     { d with Swarm.detector = { Dmx_sim.Detector.period = 0.0; timeout = 1.0 } }
     "zero heartbeat period";
@@ -493,6 +563,8 @@ let test_swarm_validation () =
   in
   let sd = Sim_swarm.default ~n:5 in
   sim_bad { sd with Sim_swarm.latency = 0.0 } "zero latency";
+  sim_bad { sd with Sim_swarm.rto = 0.0 } "zero rto";
+  sim_bad { sd with Sim_swarm.rto = Float.nan } "NaN rto";
   sim_bad
     { sd with Sim_swarm.restarts = [ (1.0, 2) ] }
     "restart without an earlier kill";
@@ -573,6 +645,9 @@ let suite =
       test_host_denies_unknown_session;
     Alcotest.test_case "host expiry + incarnation voiding" `Quick
       test_host_expiry_and_incarnation;
+    Alcotest.test_case "host on_frame dispatch" `Quick test_host_on_frame;
+    Alcotest.test_case "host drops a hostile Sproto" `Quick
+      test_host_drops_hostile_sproto;
     Alcotest.test_case "clients ignore a stale release wake" `Quick
       test_clients_stale_release;
     Alcotest.test_case "clients re-open on deny no-session" `Quick
