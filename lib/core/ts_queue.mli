@@ -3,9 +3,20 @@
 
     Queues hold at most one entry per site (a site has at most one
     outstanding request, Section 2) and are short (bounded by the number of
-    sites whose quorum contains this arbiter), so a sorted list keeps the
-    code obviously correct; removal by site id is needed by the release
-    path and the Section 6 failure cleanup. *)
+    sites whose quorum contains this arbiter). The entries are two sorted,
+    parallel [int] arrays of sequence numbers and site ids; an insert or a
+    removal shifts cells in place, with no list rebuilt and no write
+    barrier. Removal by site id is needed by the release path and the
+    Section 6 failure cleanup.
+
+    The state is canonical: a function of the entries alone. The capacity
+    is fixed by the length (none when empty, else the smallest power of two
+    from 8 up that holds the entries) and freed cells are reset, so two
+    queues with the same entries are [=], and an emptied queue is [=] to
+    {!create}[ ()]. The rule exists because the model checker
+    ([Model_check]) identifies protocol states by polymorphic equality:
+    a queue whose spare cells remembered its history would split one
+    state into many. *)
 
 type t
 

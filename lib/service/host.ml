@@ -301,13 +301,6 @@ module Make (P : Proto.PROTOCOL) = struct
       perform t sh (Lease.renew sh.lease ~session ~req)
     end
 
-  let void_session t ~session =
-    Hashtbl.remove t.sessions session;
-    drop_session_locks t ~session;
-    Array.iter
-      (fun sh -> perform t sh (Lease.void_session sh.lease ~session))
-      t.shards
-
   (* [shard] and [src_node] come off the network: a frame naming either
      out of range is dropped, not allowed to raise in the rotation *)
   let on_sproto t ~shard ~src_node payload =

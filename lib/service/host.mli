@@ -103,10 +103,6 @@ module Make (P : Dmx_sim.Protocol.PROTOCOL) : sig
   (** Slide the lease deadline; answered with [Grant], or [Expire] when
       the lease is already gone. *)
 
-  val void_session : t -> session:int -> unit
-  (** Forget the session entirely and free everything it queued or held
-      — the gateway knows the client is gone (connection owner died). *)
-
   (** {2 Network and timer events} *)
 
   val on_frame : t -> Dmx_net.Wire.frame -> unit

@@ -227,20 +227,20 @@ module Make (P : Protocol.PROTOCOL) = struct
                          | `Partitioned -> "partition"
                          | `Faulty -> "loss");
                      })
-              | Network.Delivered ats ->
+              | (Network.Delivered | Network.Duplicated) as verdict ->
                 if warmed sim then begin
                   sim.messages <- sim.messages + 1;
                   Stats.Counter.incr sim.counters (P.message_kind msg)
                 end;
                 let text = record_send sim ~site:self ~dst msg in
-                List.iteri
-                  (fun i at ->
-                    if i > 0 then
-                      Trace.record sim.trace ~time:(now ()) ~site:self
-                        (Trace.Duplicate { dst });
-                    sched_live sim ~time:at
-                      (Deliver { src = self; dst; msg; text; self_msg = false }))
-                  ats
+                let ev = Deliver { src = self; dst; msg; text; self_msg = false } in
+                sched_live sim ~time:(Network.arrival sim.net 0) ev;
+                match verdict with
+                | Network.Duplicated ->
+                  Trace.record sim.trace ~time:(now ()) ~site:self
+                    (Trace.Duplicate { dst });
+                  sched_live sim ~time:(Network.arrival sim.net 1) ev
+                | Network.Delivered | Network.Lost _ -> ()
             end
           in
           let enter_cs () =
@@ -556,12 +556,13 @@ module Make (P : Protocol.PROTOCOL) = struct
           if dst <> site then begin
             sim.detector_msgs <- sim.detector_msgs + 1;
             match Network.transmit sim.net ~src:site ~dst ~now:time with
-            | Network.Delivered ats ->
-              List.iter
-                (fun at ->
-                  Event_queue.schedule sim.q ~time:at
-                    (Heartbeat_arrive { src = site; dst }))
-                ats
+            | (Network.Delivered | Network.Duplicated) as verdict ->
+              let ev = Heartbeat_arrive { src = site; dst } in
+              Event_queue.schedule sim.q ~time:(Network.arrival sim.net 0) ev;
+              (match verdict with
+              | Network.Duplicated ->
+                Event_queue.schedule sim.q ~time:(Network.arrival sim.net 1) ev
+              | Network.Delivered | Network.Lost _ -> ())
             | Network.Lost _ -> ()
           end
         done;
@@ -609,85 +610,88 @@ module Make (P : Protocol.PROTOCOL) = struct
     in
     let processed = ref 0 in
     let rec loop () =
-      if (not sim.stop) && Event_queue.now sim.q <= cfg.max_time then
-        match Event_queue.next sim.q with
-        | None -> ()
-        | Some { payload; time; _ } ->
-          if time > cfg.max_time then ()
-          else begin
-            incr processed;
-            if not (housekeeping payload) then begin
-              sim.live_events <- sim.live_events - 1;
-              sim.last_progress <- time
-            end;
-            (match payload with
-            | Deliver { src; dst; msg; text; self_msg } ->
-              deliver src dst msg text self_msg
-            | Timer { site; tag } ->
-              if Network.is_up sim.net site then begin
-                Trace.record sim.trace ~time ~site (Trace.Timer tag);
-                P.on_timer (ctx_of site) (state_of site) tag
-              end
-            | Arrival { site } -> handle_arrival sim ctx_of state_of site
-            | Cs_exit { site } -> handle_cs_exit sim ctx_of state_of site
-            | Crash_ev { site } -> handle_crash sim site
-            | Recover_ev { site } ->
-              if not (Network.is_up sim.net site) then begin
-                Network.recover sim.net site;
-                Trace.record sim.trace ~time ~site Trace.Recover;
-                (* fail-stop recovery: the site rejoins with FRESH protocol
-                   state (its old volatile state died with it) *)
-                states.(site) <- Some (P.init (ctx_of site) pcfg);
-                (* Restart its workload source, which died with it. Under the
-                   oracle the first arrival waits until every survivor has
-                   processed the recovery notification — otherwise its
-                   request lands on arbiters that still flag it dead and is
-                   dropped. Heartbeat mode needs no guard: trust is earned
-                   per observer, and the reliability layer's incarnation
-                   numbers revalidate the site on first contact. *)
-                let resume =
-                  match sim.cfg.detector with
-                  | Oracle d -> time +. (2.0 *. d)
-                  | Heartbeat _ -> time
-                in
-                (match
-                   Workload.next_arrival sim.cfg.workload ~site ~now:resume
-                     ~rng:sim.wl_rng
-                 with
-                | Some at when at <= cfg.max_time ->
-                  sched_live sim
-                    ~time:(Float.max at resume)
-                    (Arrival { site })
-                | Some _ | None -> ());
+      if
+        (not sim.stop)
+        && Event_queue.now sim.q <= cfg.max_time
+        && not (Event_queue.is_empty sim.q)
+      then
+        let payload = Event_queue.pop sim.q in
+        let time = Event_queue.now sim.q in
+        if time > cfg.max_time then ()
+        else begin
+          incr processed;
+          if not (housekeeping payload) then begin
+            sim.live_events <- sim.live_events - 1;
+            sim.last_progress <- time
+          end;
+          (match payload with
+          | Deliver { src; dst; msg; text; self_msg } ->
+            deliver src dst msg text self_msg
+          | Timer { site; tag } ->
+            if Network.is_up sim.net site then begin
+              Trace.record sim.trace ~time ~site (Trace.Timer tag);
+              P.on_timer (ctx_of site) (state_of site) tag
+            end
+          | Arrival { site } -> handle_arrival sim ctx_of state_of site
+          | Cs_exit { site } -> handle_cs_exit sim ctx_of state_of site
+          | Crash_ev { site } -> handle_crash sim site
+          | Recover_ev { site } ->
+            if not (Network.is_up sim.net site) then begin
+              Network.recover sim.net site;
+              Trace.record sim.trace ~time ~site Trace.Recover;
+              (* fail-stop recovery: the site rejoins with FRESH protocol
+                 state (its old volatile state died with it) *)
+              states.(site) <- Some (P.init (ctx_of site) pcfg);
+              (* Restart its workload source, which died with it. Under the
+                 oracle the first arrival waits until every survivor has
+                 processed the recovery notification — otherwise its
+                 request lands on arbiters that still flag it dead and is
+                 dropped. Heartbeat mode needs no guard: trust is earned
+                 per observer, and the reliability layer's incarnation
+                 numbers revalidate the site on first contact. *)
+              let resume =
                 match sim.cfg.detector with
-                | Oracle d ->
-                  List.iter
-                    (fun observer ->
-                      if observer <> site then
-                        sched_live sim
-                          ~time:(Event_queue.now sim.q +. d)
-                          (Detect_recovery { observer; recovered = site }))
-                    (Network.up_sites sim.net)
-                | Heartbeat c ->
-                  (* fresh detector state; tick chain restarts *)
-                  Detector.reset sim.detectors.(site) ~now:time;
-                  Event_queue.schedule sim.q
-                    ~time:(time +. c.Detector.period)
-                    (Heartbeat_tick { site })
-              end
-            | Detect { observer; failed } ->
-              if Network.is_up sim.net observer then
-                P.on_failure (ctx_of observer) (state_of observer) failed
-            | Detect_recovery { observer; recovered } ->
-              if Network.is_up sim.net observer then
-                P.on_recovery (ctx_of observer) (state_of observer) recovered
-            | Heartbeat_tick { site } -> handle_heartbeat_tick site time
-            | Heartbeat_arrive { src; dst } -> handle_heartbeat_arrive src dst time
-            | Partition_edge { heal } ->
-              Trace.record sim.trace ~time ~site:(-1) (Trace.Partition { heal })
-            | Watchdog -> handle_watchdog time);
-            loop ()
-          end
+                | Oracle d -> time +. (2.0 *. d)
+                | Heartbeat _ -> time
+              in
+              (match
+                 Workload.next_arrival sim.cfg.workload ~site ~now:resume
+                   ~rng:sim.wl_rng
+               with
+              | Some at when at <= cfg.max_time ->
+                sched_live sim
+                  ~time:(Float.max at resume)
+                  (Arrival { site })
+              | Some _ | None -> ());
+              match sim.cfg.detector with
+              | Oracle d ->
+                List.iter
+                  (fun observer ->
+                    if observer <> site then
+                      sched_live sim
+                        ~time:(Event_queue.now sim.q +. d)
+                        (Detect_recovery { observer; recovered = site }))
+                  (Network.up_sites sim.net)
+              | Heartbeat c ->
+                (* fresh detector state; tick chain restarts *)
+                Detector.reset sim.detectors.(site) ~now:time;
+                Event_queue.schedule sim.q
+                  ~time:(time +. c.Detector.period)
+                  (Heartbeat_tick { site })
+            end
+          | Detect { observer; failed } ->
+            if Network.is_up sim.net observer then
+              P.on_failure (ctx_of observer) (state_of observer) failed
+          | Detect_recovery { observer; recovered } ->
+            if Network.is_up sim.net observer then
+              P.on_recovery (ctx_of observer) (state_of observer) recovered
+          | Heartbeat_tick { site } -> handle_heartbeat_tick site time
+          | Heartbeat_arrive { src; dst } -> handle_heartbeat_arrive src dst time
+          | Partition_edge { heal } ->
+            Trace.record sim.trace ~time ~site:(-1) (Trace.Partition { heal })
+          | Watchdog -> handle_watchdog time);
+          loop ()
+        end
     in
     loop ();
     (match cfg.obs with

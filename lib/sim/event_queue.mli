@@ -16,9 +16,16 @@ val schedule : 'a t -> time:float -> 'a -> unit
     than the last popped time (no scheduling into the past).
     @raise Invalid_argument otherwise. *)
 
+val pop : 'a t -> 'a
+(** Remove the earliest event and return its payload; its time is then
+    {!now}. The queue keeps no reference to a payload once {!pop} or
+    {!drop_if} has removed it. Allocates nothing: the engine's run loop
+    pops through this.
+    @raise Invalid_argument on an empty queue. *)
+
 val next : 'a t -> 'a event option
-(** Remove and return the earliest event. The queue keeps no reference
-    to a payload once {!next} or {!drop_if} has removed it. *)
+(** {!pop} as a record of the event's time, sequence number and payload,
+    or [None] on an empty queue. *)
 
 val peek_time : 'a t -> float option
 (** Firing time of the earliest pending event. *)
@@ -33,7 +40,7 @@ val pushes : 'a t -> int
 (** Total events ever scheduled. *)
 
 val pops : 'a t -> int
-(** Total events ever popped via {!next}. *)
+(** Total events ever popped via {!pop} or {!next}. *)
 
 val peak : 'a t -> int
 (** High-water heap length — the engine flushes these three into its

@@ -82,10 +82,12 @@ module Counter = struct
 
   let create () : t = Hashtbl.create 16
 
+  (* [find] with a handler, not [find_opt]: counting a known key, once
+     per simulated message, allocates nothing. *)
   let incr ?(by = 1) t key =
-    match Hashtbl.find_opt t key with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t key (ref by)
+    match Hashtbl.find t key with
+    | r -> r := !r + by
+    | exception Not_found -> Hashtbl.add t key (ref by)
 
   let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
   let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t 0

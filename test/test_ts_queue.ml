@@ -5,6 +5,57 @@ module Q = Dmx_core.Ts_queue
 
 let ts sn site = { Ts.sn; site }
 
+(* The sorted-list queue the array queue replaced, kept as the reference
+   the property below checks against. *)
+module Ref = struct
+  type t = { mutable entries : Ts.t list }
+
+  let create () = { entries = [] }
+  let is_empty t = t.entries = []
+  let length t = List.length t.entries
+
+  let insert t ts =
+    let newer_exists =
+      List.exists
+        (fun (e : Ts.t) -> e.site = ts.Ts.site && e.sn >= ts.Ts.sn)
+        t.entries
+    in
+    if not newer_exists then begin
+      let without =
+        List.filter (fun (e : Ts.t) -> e.site <> ts.Ts.site) t.entries
+      in
+      let rec ins = function
+        | [] -> [ ts ]
+        | e :: rest as l -> if Ts.compare ts e < 0 then ts :: l else e :: ins rest
+      in
+      t.entries <- ins without
+    end
+
+  let head t = match t.entries with [] -> None | e :: _ -> Some e
+
+  let pop t =
+    match t.entries with
+    | [] -> None
+    | e :: rest ->
+      t.entries <- rest;
+      Some e
+
+  let remove_site t site =
+    let before = List.length t.entries in
+    t.entries <- List.filter (fun (e : Ts.t) -> e.site <> site) t.entries;
+    List.length t.entries < before
+
+  let remove_ts t ts =
+    let before = List.length t.entries in
+    t.entries <- List.filter (fun e -> not (Ts.equal e ts)) t.entries;
+    List.length t.entries < before
+
+  let mem_site t site = List.exists (fun (e : Ts.t) -> e.site = site) t.entries
+  let find_site t site = List.find_opt (fun (e : Ts.t) -> e.site = site) t.entries
+  let to_list t = t.entries
+  let clear t = t.entries <- []
+end
+
 let test_priority_order () =
   let q = Q.create () in
   Q.insert q (ts 3 1);
@@ -89,6 +140,133 @@ let qcheck_sorted =
       let sites = List.map (fun (t : Ts.t) -> t.site) l in
       sorted l && List.length sites = List.length (List.sort_uniq compare sites))
 
+type op =
+  | Insert of int * int
+  | Pop
+  | Remove_site of int
+  | Remove_ts of int * int
+  | Head
+  | Find_site of int
+  | Mem_site of int
+  | To_list
+  | Clear
+
+let pp_op = function
+  | Insert (sn, site) -> Printf.sprintf "insert(%d,%d)" sn site
+  | Pop -> "pop"
+  | Remove_site s -> Printf.sprintf "remove_site %d" s
+  | Remove_ts (sn, site) -> Printf.sprintf "remove_ts(%d,%d)" sn site
+  | Head -> "head"
+  | Find_site s -> Printf.sprintf "find_site %d" s
+  | Mem_site s -> Printf.sprintf "mem_site %d" s
+  | To_list -> "to_list"
+  | Clear -> "clear"
+
+(* Up to 20 sites, so a queue grows past its first capacity and shrinks
+   back; few sequence numbers, so re-issued and stale timestamps are
+   common. Inserts dominate, so queues get long. *)
+let gen_op =
+  let open QCheck.Gen in
+  let sn = int_range 0 12 and site = int_range 0 19 in
+  frequency
+    [
+      (8, map2 (fun a b -> Insert (a, b)) sn site);
+      (2, return Pop);
+      (2, map (fun s -> Remove_site s) site);
+      (2, map2 (fun a b -> Remove_ts (a, b)) sn site);
+      (1, return Head);
+      (1, map (fun s -> Find_site s) site);
+      (1, map (fun s -> Mem_site s) site);
+      (1, return To_list);
+      (1, return Clear);
+    ]
+
+(* Every answer of one op, as text, on either queue. *)
+let answers ~pop ~head ~find ~to_list ~remove_site ~remove_ts ~mem ~insert
+    ~clear op =
+  let o = function None -> "-" | Some e -> Format.asprintf "%a" Ts.pp e in
+  let l xs = String.concat ";" (List.map (fun e -> o (Some e)) xs) in
+  match op with
+  | Insert (sn, site) ->
+    insert (ts sn site);
+    ""
+  | Pop -> o (pop ())
+  | Remove_site s -> string_of_bool (remove_site s)
+  | Remove_ts (sn, site) -> string_of_bool (remove_ts (ts sn site))
+  | Head -> o (head ())
+  | Find_site s -> o (find s)
+  | Mem_site s -> string_of_bool (mem s)
+  | To_list -> l (to_list ())
+  | Clear ->
+    clear ();
+    ""
+
+let of_entries entries =
+  let q = Q.create () in
+  List.iter (Q.insert q) entries;
+  q
+
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"ts_queue matches the sorted-list reference"
+    ~count:500
+    QCheck.(make ~print:(fun ops -> String.concat ", " (List.map pp_op ops))
+              Gen.(list_size (int_range 0 80) gen_op))
+    (fun ops ->
+      let q = Q.create () and r = Ref.create () in
+      List.for_all
+        (fun op ->
+          let a =
+            answers ~pop:(fun () -> Q.pop q) ~head:(fun () -> Q.head q)
+              ~find:(Q.find_site q) ~to_list:(fun () -> Q.to_list q)
+              ~remove_site:(Q.remove_site q) ~remove_ts:(Q.remove_ts q)
+              ~mem:(Q.mem_site q) ~insert:(Q.insert q)
+              ~clear:(fun () -> Q.clear q) op
+          and b =
+            answers ~pop:(fun () -> Ref.pop r) ~head:(fun () -> Ref.head r)
+              ~find:(Ref.find_site r) ~to_list:(fun () -> Ref.to_list r)
+              ~remove_site:(Ref.remove_site r) ~remove_ts:(Ref.remove_ts r)
+              ~mem:(Ref.mem_site r) ~insert:(Ref.insert r)
+              ~clear:(fun () -> Ref.clear r) op
+          in
+          a = b
+          && Q.to_list q = Ref.to_list r
+          && Q.length q = Ref.length r
+          && Q.is_empty q = Ref.is_empty r
+          (* canonical: the state is a function of the entries alone *)
+          && q = of_entries (Q.to_list q))
+        ops)
+
+let test_emptied_is_fresh () =
+  (* The model checker compares states structurally: a queue emptied by
+     any route must be [=] to a fresh one, whatever it held. *)
+  let fill () =
+    let q = Q.create () in
+    for site = 0 to 19 do
+      Q.insert q (ts (40 - site) site)
+    done;
+    q
+  in
+  let fresh = Q.create () in
+  let check what q = Alcotest.(check bool) what true (q = fresh) in
+  let q = fill () in
+  while Q.pop q <> None do () done;
+  check "emptied by pop" q;
+  let q = fill () in
+  for site = 0 to 19 do
+    ignore (Q.remove_site q site)
+  done;
+  check "emptied by remove_site" q;
+  let q = fill () in
+  for site = 19 downto 0 do
+    ignore (Q.remove_ts q (ts (40 - site) site))
+  done;
+  check "emptied by remove_ts" q;
+  let q = fill () in
+  Q.clear q;
+  check "emptied by clear" q;
+  let q = fill () in
+  Alcotest.(check bool) "a copy is equal" true (Q.copy q = q)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -101,4 +279,9 @@ let suite =
       ("find_site", test_find_site);
       ("clear", test_clear);
     ]
-  @ [ QCheck_alcotest.to_alcotest qcheck_sorted ]
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_sorted;
+      Alcotest.test_case "emptied queue equals a fresh one" `Quick
+        test_emptied_is_fresh;
+      QCheck_alcotest.to_alcotest qcheck_matches_reference;
+    ]
